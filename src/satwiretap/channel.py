@@ -8,7 +8,7 @@ symbol x in {+1, -1} (bit 0 maps to +1, bit 1 to -1, fixed project-wide).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr
@@ -50,6 +50,10 @@ class WiretapChannelParams:
     e0: float = 1.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.gamma_g < 0:
             raise ValueError(f"gamma_g must be >= 0, got {self.gamma_g}")
         if self.gamma_n <= 0:

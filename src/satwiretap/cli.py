@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -24,13 +23,7 @@ from .capacity import (
     positivity_condition,
     secrecy_capacity,
 )
-from .channel import (
-    WiretapChannelParams,
-    density_bob,
-    density_eve,
-    mixture_density_bob,
-    mixture_density_eve,
-)
+from .channel import WiretapChannelParams
 from .code import bits_to_bpsk, bits_to_hex, decode, encode, hash_bits, hex_to_bits, make_ecc
 from .geometry import GeometryConfig, alpha, beta, gamma_g, eve_stronger, protected_region_map
 from .leakage import CodeParams, min_leakage_bound
@@ -254,26 +247,10 @@ def _cmd_capacity(args) -> None:
 
 
 def _cmd_densities(args) -> None:
-    params = _params_from(args)
     if args.points < 2:
         raise ValueError("--points must be >= 2")
-    if args.side == "bob":
-        amp, var = params.bob_amplitude, params.bob_noise_var
-        one, mix = density_bob, mixture_density_bob
-    else:
-        amp, var = params.eve_amplitude, params.eve_noise_var
-        one, mix = density_eve, mixture_density_eve
-    span = amp + 4.0 * math.sqrt(var)
-    rows = [
-        {
-            "y": float(y),
-            "pdf_plus": float(one(y, +1, params)),
-            "pdf_minus": float(one(y, -1, params)),
-            "pdf_mix": float(mix(y, params)),
-        }
-        for y in np.linspace(-span, span, args.points)
-    ]
-    _emit(["y", "pdf_plus", "pdf_minus", "pdf_mix"], rows, args.out)
+    fields, rows = figures.density_rows(args.side, _params_from(args), args.points)
+    _emit(fields, rows, args.out)
 
 
 def _cmd_bound(args) -> None:
@@ -411,6 +388,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except BrokenPipeError:
         return 0
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

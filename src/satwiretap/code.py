@@ -5,8 +5,11 @@ The hash family is F = (I, T(S)) with T a k x k' binary Toeplitz matrix drawn
 from a seed S of k+k'-1 bits: hash(v) = v[:k] XOR T @ v[k:]. The encoder
 premixes the message with the sacrifice bits through [[I, T], [0, I]] (over
 F2, -T = T), so hash(premix(m, l)) = m for every seed; decoding is the hash of
-the ECC-decoded word. Desk-scale ECC stand-ins (identity, triple repetition,
-Hamming(7,4)) substitute for production LDPC/Polar codes.
+the ECC-decoded word. Every production product T @ x goes through
+toeplitz_apply_batch, an XOR of sliding seed windows; toeplitz_mul_naive is
+the dense-matmul reference that tests compare against. Desk-scale ECC
+stand-ins (identity, triple repetition, Hamming(7,4)) substitute for
+production LDPC/Polar codes.
 
 Bit conventions, fixed project-wide: index 0 is the first transmitted bit;
 BPSK maps bit 0 -> +1 and bit 1 -> -1; hex serialization packs 8 bits per
@@ -130,26 +133,10 @@ def toeplitz_mul_naive(T: np.ndarray, x) -> np.ndarray:
     return (T.astype(np.int64) @ x.astype(np.int64) & 1).astype(np.uint8)
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    # bits[0] becomes the most significant bit
-    if bits.size == 0:
-        return 0
-    return int(bits_to_hex(bits), 16) >> ((-bits.size) % 8)
-
-
-def _int_to_bits(value: int, length: int) -> np.ndarray:
-    if length == 0:
-        return np.zeros(0, dtype=np.uint8)
-    text = format(value, f"0{length}b").encode()
-    return (np.frombuffer(text, dtype=np.uint8) - ord("0")).astype(np.uint8)
-
-
 def toeplitz_mul_fast(seed, x, k: int, k_prime: int) -> np.ndarray:
-    """T(seed) @ x over F2 via carryless polynomial convolution.
+    """T(seed) @ x over F2 for one word: the B = 1 case of toeplitz_apply_batch.
 
-    The Toeplitz product is a window of the GF(2) polynomial product of the
-    reversed seed and reversed input, so one carryless big-integer multiply
-    followed by a shift extracts all k output bits. Equals
+    Validates the seed and input lengths. Equals
     toeplitz_mul_naive(toeplitz_from_seed(seed, k, k_prime), x) bit for bit.
     """
     if k < 1 or k_prime < 0:
@@ -158,33 +145,24 @@ def toeplitz_mul_fast(seed, x, k: int, k_prime: int) -> np.ndarray:
     x = bits_from_ints(x)
     if x.size != k_prime:
         raise ValueError(f"input has {x.size} bits, expected k' = {k_prime}")
-    if k_prime == 0 or not x.any():
-        return np.zeros(k, dtype=np.uint8)
-    s_int = _bits_to_int(seed)  # seed reversed: coefficient t is seed[K-1-t]
-    x_int = _bits_to_int(x)  # input reversed: coefficient u is x[k'-1-u]
-    prod = 0
-    while x_int:
-        low = x_int & -x_int
-        prod ^= s_int << (low.bit_length() - 1)
-        x_int ^= low
-    # out[i] is convolution coefficient K-1-i; shift those into the low k bits
-    window = (prod >> (k_prime - 1)) & ((1 << k) - 1)
-    return _int_to_bits(window, k)
+    return toeplitz_apply_batch(seed[None], x[None], k, k_prime)[0]
 
 
 def toeplitz_apply_batch(seeds: np.ndarray, xs: np.ndarray, k: int, k_prime: int) -> np.ndarray:
-    """Row-wise T(seeds[b]) @ xs[b] for a batch of seeds and inputs.
+    """Row-wise T(seeds[b]) @ xs[b] over F2 for a batch of seeds and inputs.
 
-    Vectorized over the batch for simulation workloads; seeds is (B, k+k'-1)
-    and xs is (B, k'), both uint8.
+    seeds is (B, k+k'-1) and xs is (B, k'), both 0/1. Column j of T(seed) is
+    the contiguous window seed[k'-1-j : k'-1-j+k], so the product is the XOR
+    of the windows selected by the set bits of each input row. Read-only and
+    broadcast seeds are accepted.
     """
-    if k_prime == 0:
-        return np.zeros((seeds.shape[0], k), dtype=np.uint8)
-    rows = np.arange(k)[:, None]
-    cols = np.arange(k_prime)[None, :]
-    t_batch = seeds[:, rows - cols + k_prime - 1].astype(np.int64)
-    out = np.einsum("bij,bj->bi", t_batch, xs.astype(np.int64)) & 1
-    return out.astype(np.uint8)
+    seeds = np.asarray(seeds, dtype=np.uint8)
+    xs = np.asarray(xs, dtype=np.uint8)
+    out = np.zeros((xs.shape[0], k), dtype=np.uint8)
+    for j in np.flatnonzero(xs.any(axis=0)):
+        start = k_prime - 1 - j
+        out ^= seeds[:, start : start + k] & xs[:, j, None]
+    return out
 
 
 def hash_bits(v, seed, k: int, k_prime: int) -> np.ndarray:
@@ -374,10 +352,17 @@ def coset_preimage_size(ecc: EccScheme, seed, m) -> int:
     k_prime = total - k
     if k_prime < 0:
         raise ValueError("message longer than the ECC input")
-    target = _bits_to_int(m)
     count = 0
-    for value in range(1 << total):
-        v = _int_to_bits(value, total)
-        if _bits_to_int(hash_bits(v, seed, k, k_prime)) == target:
+    for v in _enumerate_bits(total):
+        if np.array_equal(hash_bits(v, seed, k, k_prime), m):
             count += 1
     return count
+
+
+def _enumerate_bits(length: int) -> np.ndarray:
+    """All 2^length bit rows in numeric order, row i = binary of i (MSB first)."""
+    if length == 0:
+        return np.zeros((1, 0), dtype=np.uint8)
+    values = np.arange(1 << length, dtype=np.int64)
+    shifts = np.arange(length - 1, -1, -1, dtype=np.int64)
+    return ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8)

@@ -102,7 +102,8 @@ def figure_5() -> Rows:
     return fields, capacity_curves(snr_linear, params)
 
 
-def _density_rows(side: str, params: WiretapChannelParams) -> Rows:
+def density_rows(side: str, params: WiretapChannelParams, points: int = 401) -> Rows:
+    """Conditional and mixture pdfs at `points` outputs over +-(amplitude + 4 sigma)."""
     fields = ["y", "pdf_plus", "pdf_minus", "pdf_mix"]
     if side == "bob":
         amp, var = params.bob_amplitude, params.bob_noise_var
@@ -111,7 +112,7 @@ def _density_rows(side: str, params: WiretapChannelParams) -> Rows:
         amp, var = params.eve_amplitude, params.eve_noise_var
         one, mix = density_eve, mixture_density_eve
     span = amp + 4.0 * math.sqrt(var)
-    grid = np.linspace(-span, span, 401)
+    grid = np.linspace(-span, span, points)
     rows = [
         {
             "y": float(y),
@@ -126,12 +127,12 @@ def _density_rows(side: str, params: WiretapChannelParams) -> Rows:
 
 def figure_6() -> Rows:
     """Mixture density at Bob, E0=N0=1."""
-    return _density_rows("bob", WiretapChannelParams(gamma_g=0.5, gamma_n=1.0))
+    return density_rows("bob", WiretapChannelParams(gamma_g=0.5, gamma_n=1.0))
 
 
 def figure_7() -> Rows:
     """Mixture density at Eve for gamma_g=0.5."""
-    return _density_rows("eve", WiretapChannelParams(gamma_g=0.5, gamma_n=1.0))
+    return density_rows("eve", WiretapChannelParams(gamma_g=0.5, gamma_n=1.0))
 
 
 def figure_8() -> Rows:

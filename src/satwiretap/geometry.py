@@ -10,7 +10,7 @@ protect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 __all__ = [
@@ -46,6 +46,10 @@ class GeometryConfig:
     lambda_c_m: float = 0.03
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.rho_b_km <= 0 or self.rho_e_km <= 0:
             raise ValueError("distances must be strictly positive")
         if self.theta_e_deg < 0:

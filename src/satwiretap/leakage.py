@@ -55,8 +55,10 @@ class CodeParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"block length n must be >= 1, got {self.n}")
-        if self.k < 0 or self.k_prime < 0:
-            raise ValueError("k and k_prime must be >= 0")
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
+        if self.k_prime < 0:
+            raise ValueError(f"k_prime must be >= 0, got {self.k_prime}")
         if self.k + self.k_prime > self.n:
             raise ValueError(
                 f"k + k_prime = {self.k + self.k_prime} exceeds block length n = {self.n}"

@@ -26,6 +26,7 @@ from .channel import WiretapChannelParams
 from .code import (
     DecodeFailure,
     EccScheme,
+    _enumerate_bits,
     bits_from_ints,
     bits_to_bpsk,
     bits_to_hex,
@@ -315,8 +316,7 @@ def exact_leakage(
     # joint quantized-output distribution for every raw hash input, ECC applied
     n_inputs = 1 << (k + kp)
     table = np.empty((n_inputs, levels**n))
-    for w in range(n_inputs):
-        v = _int_to_bits(w, k + kp)
+    for w, v in enumerate(_enumerate_bits(k + kp)):
         cw = bits_from_ints(ecc.encode(v))
         q = np.ones(1)
         for bit in cw:
@@ -331,8 +331,7 @@ def exact_leakage(
     seed_len = k + kp - 1
     per_seed = []
     total = 0.0
-    for s_val in range(1 << seed_len):
-        seed = _int_to_bits(s_val, seed_len)
+    for seed in _enumerate_bits(seed_len):
         t_l = toeplitz_apply_batch(np.broadcast_to(seed, (l_count, seed_len)), all_l, k, kp)
         mixed = all_m[:, None, :] ^ t_l[None, :, :]
         idx = (mixed.astype(np.int64) @ pow_k) * l_count + np.arange(l_count)[None, :]
@@ -353,22 +352,6 @@ def exact_leakage(
         bound_log2=bound.log2_bound,
         bound_bits=bound_bits,
     )
-
-
-def _int_to_bits(value: int, length: int) -> np.ndarray:
-    if length == 0:
-        return np.zeros(0, dtype=np.uint8)
-    text = format(value, f"0{length}b").encode()
-    return (np.frombuffer(text, dtype=np.uint8) - ord("0")).astype(np.uint8)
-
-
-def _enumerate_bits(length: int) -> np.ndarray:
-    """All 2^length bit rows in numeric order, row i = binary of i (MSB first)."""
-    if length == 0:
-        return np.zeros((1, 0), dtype=np.uint8)
-    values = np.arange(1 << length, dtype=np.int64)
-    shifts = np.arange(length - 1, -1, -1, dtype=np.int64)
-    return ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
 class MiEstimate(NamedTuple):

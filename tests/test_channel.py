@@ -37,12 +37,17 @@ class TestParams:
             {"gamma_n": 0.0},
             {"n0": 0.0},
             {"e0": -1.0},
+            {"gamma_g": math.inf},
+            {"gamma_g": math.nan},
+            {"gamma_n": math.inf},
+            {"n0": math.nan},
+            {"e0": -math.inf},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
         base = dict(gamma_g=0.5, gamma_n=1.0, n0=1.0, e0=1.0)
         base.update(kwargs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             WiretapChannelParams(**base)
 
 

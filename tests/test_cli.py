@@ -265,6 +265,12 @@ class TestConfigAndOutput:
         rows = rows_of(target.read_text())
         assert len(rows) == 1 and "c_s" in rows[0]
 
+    def test_unwritable_out_exits_one(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "cap.csv"
+        rc, out, err = run_cli(capsys, "capacity", "--out", str(target))
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_no_subcommand_prints_help(self, capsys):
         rc, _, err = run_cli(capsys)
         assert rc == 2

@@ -12,6 +12,7 @@ from satwiretap.code import (
     hash_bits,
     hex_to_bits,
     make_ecc,
+    toeplitz_apply_batch,
     toeplitz_from_seed,
     toeplitz_mul_fast,
     toeplitz_mul_naive,
@@ -114,6 +115,26 @@ class TestFastMultiply:
             assert np.array_equal(
                 toeplitz_mul_fast(seed, x, k, kp), toeplitz_mul_naive(T, x)
             )
+
+    def test_batch_matches_naive_row_by_row(self):
+        rng = np.random.default_rng(33)
+        shapes = [(1, 5, 0), (6, 4, 0), (1, 40, 17), (1, 1, 1)]
+        for _ in range(40):
+            shapes.append(tuple(int(v) for v in rng.integers((1, 1, 0), (20, 65, 65))))
+        for case, (batch, k, kp) in enumerate(shapes):
+            if case % 2:
+                # one read-only seed shared by every row, as run_reliability and
+                # exact_leakage pass it
+                seed = rng.integers(0, 2, k + kp - 1, dtype=np.uint8)
+                seeds = np.broadcast_to(seed, (batch, seed.size))
+            else:
+                seeds = rng.integers(0, 2, (batch, k + kp - 1), dtype=np.uint8)
+            xs = rng.integers(0, 2, (batch, kp), dtype=np.uint8)
+            out = toeplitz_apply_batch(seeds, xs, k, kp)
+            assert out.shape == (batch, k) and out.dtype == np.uint8
+            for b in range(batch):
+                T = toeplitz_from_seed(seeds[b], k, kp)
+                assert np.array_equal(out[b], toeplitz_mul_naive(T, xs[b]))
 
     def test_zero_input(self):
         seed = np.ones(15, np.uint8)

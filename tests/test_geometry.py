@@ -138,6 +138,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(rho_b_km=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rho_b_km", math.inf),
+            ("rho_e_km", math.nan),
+            ("theta_e_deg", math.nan),
+            ("r", math.inf),
+            ("a", math.inf),
+            ("mu", math.nan),
+            ("g_a_max", math.inf),
+            ("lambda_c_m", math.nan),
+        ],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            _config(**{field: value})
+
 
 class TestProtectedRegionMap:
     def test_single_unity_cell(self):

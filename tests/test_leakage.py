@@ -44,6 +44,10 @@ class TestCodeParams:
             CodeParams(4, -1, 2)
         with pytest.raises(ValueError):
             CodeParams(0, 0, 0)
+        with pytest.raises(ValueError, match="k must be >= 0, got -10"):
+            CodeParams(10, -10, 20)
+        with pytest.raises(ValueError, match="k_prime must be >= 0, got -2"):
+            CodeParams(4, 1, -2)
 
 
 class TestPsi:

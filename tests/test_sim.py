@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 from satwiretap.capacity import mi_biawgn
 from satwiretap.channel import WiretapChannelParams
-from satwiretap.code import make_ecc
+from satwiretap.code import DecodeFailure, IdentityCode, make_ecc
 from satwiretap.leakage import CodeParams
 from satwiretap.sim import (
     EveQuantizer,
@@ -17,6 +17,24 @@ from satwiretap.sim import (
 )
 
 P_MAIN = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0)
+
+
+class _FlakyIdentity(IdentityCode):
+    """Identity code whose decoder rejects every batch and the chosen frames."""
+
+    def __init__(self, message_length, bad_frames=()):
+        super().__init__(message_length)
+        self.bad_frames = set(bad_frames)
+        self.frame = 0
+
+    def decode(self, y):
+        y = np.asarray(y, dtype=float)
+        if y.ndim > 1:
+            raise DecodeFailure("batch rejected")
+        frame, self.frame = self.frame, self.frame + 1
+        if frame in self.bad_frames:
+            raise DecodeFailure(f"frame {frame} rejected")
+        return super().decode(y)
 
 
 class TestRunReliability:
@@ -106,6 +124,23 @@ class TestRunReliability:
         assert 0 < report.ber <= report.fer <= 1.0
         assert report.bit_errors <= 2 * report.frame_errors
         assert report.ber_ci95 > 0.0 and report.fer_ci95 > 0.0
+
+    def test_per_frame_fallback_matches_batch_decode(self):
+        params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=1.0)
+        code = CodeParams(4, 2, 2)
+        batch = run_reliability(code, make_ecc("identity", 4), params, 300, 5)
+        fallback = run_reliability(code, _FlakyIdentity(4), params, 300, 5)
+        assert batch.frame_errors > 0
+        assert fallback == batch
+        assert fallback.decode_failures == 0
+
+    def test_failed_frames_count_as_errors(self):
+        params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=1e-24)
+        ecc = _FlakyIdentity(4, bad_frames=(0, 3, 7))
+        report = run_reliability(CodeParams(4, 2, 2), ecc, params, 20, 5)
+        assert report.decode_failures == 3
+        assert report.frame_errors == 3
+        assert report.bit_errors == 3 * 2
 
     def test_as_dict_round_trip(self):
         params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=1.0)
