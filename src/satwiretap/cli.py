@@ -33,10 +33,10 @@ from .sim import exact_leakage, make_eve_quantizer, run_reliability
 def _linspace_spec(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected LO:HI:COUNT")
+        raise ValueError("expected LO:HI:COUNT")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
-        raise argparse.ArgumentTypeError("COUNT must be >= 1")
+        raise ValueError("COUNT must be >= 1")
     return np.linspace(lo, hi, count)
 
 

@@ -164,6 +164,8 @@ def run_reliability(
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
     if ecc.message_length != code.k + code.k_prime:
         raise ValueError(
             f"ECC message length {ecc.message_length} != k+k' = {code.k + code.k_prime}"
@@ -175,14 +177,10 @@ def run_reliability(
         if hash_seed.size != code.k + code.k_prime - 1:
             raise ValueError("hash_seed must have k+k'-1 bits")
 
-    blocks = []
-    start = 0
-    index = 0
-    while start < trials:
-        count = min(block_size, trials - start)
-        blocks.append((index, count))
-        start += count
-        index += 1
+    blocks = [
+        (index, min(block_size, trials - index * block_size))
+        for index in range(-(-trials // block_size))
+    ]
 
     def job(block):
         b, count = block

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from satwiretap.capacity import (
     c_separation_condition,
@@ -120,6 +122,19 @@ class TestConditions:
 
     def test_c_separation_blind_eve(self):
         assert c_separation_condition(_params(0.0, 1.0, e0=100.0)) is True
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gg=st.floats(min_value=0.0, max_value=3.0),
+        gn=st.floats(min_value=0.1, max_value=9.0),
+    )
+    def test_secrecy_positive_exactly_when_condition_holds(self, gg, gn):
+        # off the boundary gamma_g = sqrt(gamma_n), where c_s vanishes continuously
+        assume(abs(gg - math.sqrt(gn)) >= 0.01)
+        p = _params(gg, gn)
+        c_s = secrecy_capacity(p).c_s
+        assert 0.0 <= c_s <= 1.0
+        assert (c_s > 1e-12) == positivity_condition(p)
 
 
 class TestCurves:

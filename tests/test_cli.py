@@ -45,6 +45,19 @@ class TestGeometry:
         assert rc == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("capacity", "--snr-sweep", "1:2"),
+            ("geometry", "--grid", "1:2:0,1:2:3"),
+        ],
+        ids=["missing-count", "zero-count"],
+    )
+    def test_malformed_linspace_spec_exits_one(self, capsys, argv):
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert "error:" in err
+
 
 class TestCapacity:
     def test_undegraded_point_has_zero_secrecy(self, capsys):

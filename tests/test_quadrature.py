@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satwiretap.quadrature import integrate_doubling
 
@@ -35,12 +37,41 @@ def test_vectorized_calls_only():
     calls = []
 
     def f(x):
-        calls.append(np.size(x))
+        calls.append(np.array(x))
         return np.ones_like(x)
 
-    val = integrate_doubling(f, 0.0, 2.0, abs_tol=1e-12)
-    assert abs(val - 2.0) < 1e-12
-    assert all(c > 1 for c in calls)
+    val = integrate_doubling(f, 0.5, 2.0, abs_tol=1e-12)
+    assert abs(val - 1.5) < 1e-12
+    assert all(x.size > 1 for x in calls)
+    assert all(x.min() >= 0.5 and x.max() <= 2.0 for x in calls)
+
+
+def test_non_convergence_raises():
+    # a jump is never resolved to 1e-12 by doubling, whatever the panel count
+    step = lambda x: (x > 1.0 / 3.0).astype(float)
+    with pytest.raises(ValueError, match="did not converge"):
+        integrate_doubling(step, 0.0, 1.0, abs_tol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=48),
+    lo=st.floats(min_value=-3.0, max_value=3.0),
+    width=st.floats(min_value=0.01, max_value=4.0),
+)
+def test_polynomial_exact_on_any_interval(coeffs, lo, width):
+    # degree <= 47 is inside the order-24 rule's exactness, so only the
+    # affine map onto [lo, hi] and rounding separate it from the closed form;
+    # errors are measured relative to width * sum |c_i| R^i, the size of the
+    # terms being summed, since the exact integral itself may cancel to ~0
+    hi = lo + width
+    poly = np.polynomial.Polynomial(coeffs)
+    antideriv = poly.integ()
+    exact = antideriv(hi) - antideriv(lo)
+    reach = max(abs(lo), abs(hi))
+    magnitude = width * (1.0 + sum(abs(c) * reach**i for i, c in enumerate(coeffs)))
+    val = integrate_doubling(poly, lo, hi, abs_tol=1e-12 * magnitude)
+    assert abs(val - exact) <= 1e-9 * magnitude
 
 
 @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, -1.0)])

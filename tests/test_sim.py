@@ -162,6 +162,9 @@ class TestRunReliability:
             run_reliability(CodeParams(3, 1, 1), make_ecc("identity", 3), P_MAIN, 10, 1)
         with pytest.raises(ValueError):
             run_reliability(CodeParams(3, 1, 1), ecc, P_MAIN, 10, 1)
+        for block_size in (0, -1):
+            with pytest.raises(ValueError, match="block_size"):
+                run_reliability(CodeParams(2, 1, 1), ecc, P_MAIN, 10, 1, block_size=block_size)
 
 
 class TestEveQuantizer:
