@@ -1,8 +1,26 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
+from satwiretap.cli import main
 from satwiretap.figures import FIGURES, figure_data
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_workloads():
+    # the benchmark's own CSV comparison and tolerance, so there is one checker
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
 
 _CACHE = {}
 
@@ -23,6 +41,14 @@ def test_schema(i):
     assert fields and rows
     assert list(rows[0]) == fields
     assert list(rows[-1]) == fields
+
+
+@pytest.mark.parametrize("i", sorted(FIGURES))
+def test_matches_golden_reference(i, tmp_path, capsys):
+    out = tmp_path / f"figure_{i}.csv"
+    assert main(["reproduce", "--figure", str(i), "--out", str(out)]) == 0
+    want = (PERFBENCH / "ref" / f"figure_{i}.csv").read_text()
+    assert workloads.compare_csv(out.read_text(), want, workloads.FIGURE_TOL) == []
 
 
 @pytest.mark.parametrize("i", [0, 12, -3])
