@@ -162,7 +162,11 @@ def _apply_config(sub: argparse.ArgumentParser, pairs: Dict[str, str]):
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
             converted[key] = value.lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
-            converted[key] = action.type(value)
+            try:
+                converted[key] = action.type(value)
+            except ValueError:
+                kind = action.type.__name__
+                raise ValueError(f"config value {key}={value!r} is not a valid {kind}") from None
         else:
             converted[key] = value
     sub.set_defaults(**converted)
@@ -372,14 +376,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if getattr(args, "config", None):
         try:
-            pairs = _load_config(args.config)
+            _apply_config(by_name[args.command], _load_config(args.config))
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        _apply_config(by_name[args.command], pairs)
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](args)

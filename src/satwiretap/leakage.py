@@ -6,23 +6,27 @@ on the seed-averaged information leakage of the hashed coset code:
     leak <= (1/s) * 2^(-s*k') * exp(n * E0_max(s)),   0 < s <= 1.
 
 Everything internal is computed in nats and in log domain; the single
-conversion to log2 happens at each public boundary. E0's exponent 1/(1-s) is
-singular at s=1, so the minimization over s treats s=1 as the analytic limit
-E0_max(s->1) = ln(2*Phi(a/sigma)) and flags the endpoint through s_star=1.
+conversion to log2 happens at each public boundary.
+
+psi and E0 are expectations over Eve's log-likelihood ratio, so they depend
+on the channel only through r = a/sigma. E0 is evaluated in the folded form
+E0(s) = s*ln2 + ln(Phi(r) + J(s)), with J from quadrature.llr_integral, for a
+whole array of s in one call; min_leakage_bound scans its s-grid that way and
+refines the minimum by zooming the same call. J vanishes as s -> 1, so the
+analytic limit E0_max(s->1) = ln(2*Phi(r)) is the same formula; the
+minimization treats s=1 as that endpoint and flags it through s_star=1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .channel import WiretapChannelParams
-from .quadrature import integrate_doubling
+from .quadrature import llr_integral
 
 __all__ = [
     "CodeParams",
@@ -41,7 +45,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _S_EPS = 1e-6
-_UNIFORM = (0.5, 0.5)
+_ZOOM_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -83,103 +87,81 @@ class LeakageBound:
     curve: tuple[tuple[float, float], ...]
 
 
-def _check_qx(qx: Sequence[float]) -> tuple[float, float]:
-    q = tuple(float(p) for p in qx)
-    if len(q) != 2 or min(q) < 0 or abs(sum(q) - 1.0) > 1e-9:
-        raise ValueError(f"qx must be a distribution on the two BPSK symbols, got {qx}")
-    return q
+def _eve_ratio(params: WiretapChannelParams) -> float:
+    return params.eve_amplitude / math.sqrt(params.eve_noise_var)
 
 
-def _eve_log_densities(z: np.ndarray, params: WiretapChannelParams):
-    a = params.eve_amplitude
-    v = params.eve_noise_var
-    c = -0.5 * math.log(2.0 * math.pi * v)
-    lp = c - (z - a) ** 2 / (2.0 * v)
-    lm = c - (z + a) ** 2 / (2.0 * v)
-    return lp, lm
+def _upper_tail(r: float) -> float:
+    # Q(r) = 1 - Phi(r)
+    return 0.5 * math.erfc(r / math.sqrt(2.0))
 
 
-def _eve_window(params: WiretapChannelParams) -> tuple[float, float]:
-    a = params.eve_amplitude
-    sigma = math.sqrt(params.eve_noise_var)
-    return -a - 10.0 * sigma, a + 10.0 * sigma
+def _e0_nats(s, r: float):
+    """E0(s) = s*ln2 + ln(Phi(r) + J(s)) for scalar or array s in (0, 1).
+
+    J = integral over z >= 0 of W+(z) * ((1 + e^(-L/t))^t - 1) with t = 1 - s,
+    the part of E0's integral that the folded LLR adds to Phi(r).
+    """
+    s = np.asarray(s, dtype=float)
+    if r == 0.0:
+        return np.zeros_like(s)
+    t = 1.0 - s
+    col = t[..., None]
+    j = llr_integral(r, lambda llr: np.expm1(col * np.log1p(np.exp(-llr / col))), t)
+    return s * _LN2 + np.log1p(j - _upper_tail(r))
 
 
-def psi(s: float, params: WiretapChannelParams, qx: Sequence[float] = _UNIFORM) -> float:
+def psi(s: float, params: WiretapChannelParams) -> float:
     """Leakage exponent psi(s) = ln int sum_x q(x) W(z|x)^(1+s) W_mix(z)^(-s) dz.
 
-    Valid for s in (0, 1]; psi(s)/s -> I(X;Z) in nats as s -> 0. Computed by
-    the shared deterministic quadrature with log-domain weighting so large
-    exponents never overflow.
+    Uniform input q. Valid for s in (0, 1]; psi(s)/s -> I(X;Z) in nats as
+    s -> 0. Computed as s*ln2 + ln E[(1 + e^(-L))^(-s)] over Eve's LLR L,
+    folded onto L >= 0 like E0.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"psi requires s in (0, 1], got {s}")
-    qp, qm = _check_qx(qx)
-    if params.gamma_g == 0.0:
+    r = _eve_ratio(params)
+    if r == 0.0:
         return 0.0
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        lp, lm = _eve_log_densities(z, params)
-        with np.errstate(divide="ignore"):
-            lmix = np.logaddexp(lp + math.log(qp) if qp > 0 else -np.inf,
-                                lm + math.log(qm) if qm > 0 else -np.inf)
-        out = np.zeros_like(z)
-        if qp > 0:
-            out += qp * np.exp(lp + s * (lp - lmix))
-        if qm > 0:
-            out += qm * np.exp(lm + s * (lm - lmix))
-        return out
+    def excess(llr):
+        # (1 + e^-L)^-s * (1 + e^(-(1+s)L)) - 1: both signs of L at once
+        log_lead = -s * np.log1p(np.exp(-llr))
+        return np.expm1(log_lead) + np.exp(log_lead - (1.0 + s) * llr)
 
-    lo, hi = _eve_window(params)
-    return math.log(integrate_doubling(integrand, lo, hi, abs_tol=1e-12))
+    return s * _LN2 + math.log1p(float(llr_integral(r, excess)) - _upper_tail(r))
 
 
-def e0(s: float, params: WiretapChannelParams, qx: Sequence[float] = _UNIFORM) -> float:
+def e0(s: float, params: WiretapChannelParams) -> float:
     """Exponent E0(s) = ln int (sum_x q(x) W(z|x)^(1/(1-s)))^(1-s) dz, in nats.
 
-    Valid for s in (0, 1); the power 1/(1-s) diverges at s=1 (see
-    e0_max_s1_limit for the analytic endpoint). The properly normalized Eve
-    density is used throughout, which guarantees E0 -> 0 as s -> 0.
+    Uniform input q. Valid for s in (0, 1); the power 1/(1-s) diverges at
+    s=1 (see e0_max_s1_limit for the analytic endpoint). The properly
+    normalized Eve density is used throughout, which guarantees E0 -> 0 as
+    s -> 0.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"e0 requires s in (0, 1), got {s}")
-    qp, qm = _check_qx(qx)
-    if params.gamma_g == 0.0:
-        return 0.0
-    p = 1.0 / (1.0 - s)
-    t = 1.0 - s
-    lqp = math.log(qp) if qp > 0 else -np.inf
-    lqm = math.log(qm) if qm > 0 else -np.inf
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        lp, lm = _eve_log_densities(z, params)
-        inner = np.logaddexp(lqp + p * lp, lqm + p * lm)
-        return np.exp(t * inner)
-
-    lo, hi = _eve_window(params)
-    return math.log(integrate_doubling(integrand, lo, hi, abs_tol=1e-12))
+    return float(_e0_nats(s, _eve_ratio(params)))
 
 
-@lru_cache(maxsize=65536)
 def e0_max(s: float, params: WiretapChannelParams) -> float:
     """E0 maximized over the input distribution.
 
     The eavesdropper channel is symmetric, so the maximum is attained at the
-    uniform input; cached because bound minimization evaluates many s values
-    for the same channel.
+    uniform input, which is what e0 evaluates.
     """
-    return e0(s, params, _UNIFORM)
+    return e0(s, params)
 
 
 def e0_max_s1_limit(params: WiretapChannelParams) -> float:
     """Analytic limit of E0_max(s) as s -> 1: ln int max_x W(z|x) dz.
 
     For the two-Gaussian eavesdropper the envelope integrates to
-    2*Phi(a/sigma), so the limit is ln2 + ln Phi(a/sigma); it is exactly 0
-    when gamma_g = 0.
+    2*Phi(a/sigma), so the limit is ln2 + ln Phi(a/sigma): E0's formula with
+    J = 0. It is exactly 0 when gamma_g = 0.
     """
-    ratio = params.eve_amplitude / math.sqrt(params.eve_noise_var)
-    return _LN2 + float(log_ndtr(ratio))
+    return _LN2 + math.log1p(-_upper_tail(_eve_ratio(params)))
 
 
 def leakage_bound(s: float, code: CodeParams, params: WiretapChannelParams) -> float:
@@ -207,38 +189,32 @@ def min_leakage_bound(
 ) -> LeakageBound:
     """Minimize the leakage bound over s in (0, 1].
 
-    A coarse scan over (eps, 1-eps] brackets the minimum, golden-section
-    refinement polishes it, and the analytic s=1 endpoint competes with the
-    interior result. The returned curve holds the coarse samples plus the
-    endpoint, so callers can plot or audit the minimization.
+    A scan over (eps, 1-eps] brackets the minimum between the neighbours of
+    the best sample; the bracket is then resampled at 33 points and narrowed
+    to the neighbours of the best one until it is 1e-10 wide. E0 is convex in
+    s, so the bound has a single minimum. The analytic s=1 endpoint competes
+    with the interior result. The returned curve holds the scan samples plus
+    the endpoint, so callers can plot or audit the minimization.
     """
     if s_grid_resolution < 100:
         raise ValueError(f"s_grid_resolution must be >= 100, got {s_grid_resolution}")
+    r = _eve_ratio(params)
 
-    def f(s: float) -> float:
-        return leakage_bound(s, code, params)
+    def f(s: np.ndarray) -> np.ndarray:
+        nats = -np.log(s) + code.n * _e0_nats(s, r) - s * code.k_prime * _LN2
+        return nats / _LN2
 
     grid = np.linspace(_S_EPS, 1.0 - _S_EPS, s_grid_resolution)
-    values = np.array([f(s) for s in grid])
+    values = f(grid)
     i = int(np.argmin(values))
-
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, s_grid_resolution - 1)]
-    inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_gr * (hi - lo)
-    d = lo + inv_gr * (hi - lo)
-    fc, fd = f(c), f(d)
     while hi - lo > 1e-10:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_gr * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_gr * (hi - lo)
-            fd = f(d)
+        zoom = np.linspace(lo, hi, _ZOOM_POINTS)
+        j = int(np.argmin(f(zoom)))
+        lo, hi = zoom[max(j - 1, 0)], zoom[min(j + 1, _ZOOM_POINTS - 1)]
     s_star = 0.5 * (lo + hi)
-    best = f(s_star)
+    best = float(f(s_star))
     if values[i] < best:
         s_star, best = float(grid[i]), float(values[i])
 

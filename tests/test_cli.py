@@ -266,6 +266,13 @@ class TestConfigAndOutput:
         rc, _, err = run_cli(capsys, "capacity", "--config", str(cfg))
         assert rc == 1 and "error:" in err
 
+    def test_config_value_of_wrong_type(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n=abc\n")
+        rc, out, err = run_cli(capsys, "bound", "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "n='abc'" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "capacity", "--config", str(tmp_path / "nope.cfg"))
         assert rc == 1 and "cannot read config" in err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satwiretap.capacity import mi_biawgn
 from satwiretap.channel import WiretapChannelParams
@@ -105,7 +107,7 @@ class TestE0:
 
     def test_e0_max_equals_uniform_e0(self):
         for s in (0.2, 0.6):
-            assert e0_max(s, P_MAIN) == pytest.approx(e0(s, P_MAIN, (0.5, 0.5)), abs=1e-14)
+            assert e0_max(s, P_MAIN) == pytest.approx(e0(s, P_MAIN), abs=1e-14)
 
     def test_e0_max_vanishes_at_small_s_for_every_parameter_set(self):
         for p in (P_MAIN, P_HALF, _params(0.8, 0.5), _params(1.2, 3.0)):
@@ -180,6 +182,37 @@ class TestMinLeakageBound:
             assert leakage_bound(res.s_star, code, P_MAIN) == pytest.approx(
                 res.log2_bound, abs=1e-9
             )
+
+
+class TestMinimizerPremises:
+    # the minimizer zooms in on one bracket, which is sound because E0 is
+    # convex in s: the objective -ln s + n*E0(s) - s*k'*ln2 then has one minimum
+
+    @pytest.mark.parametrize("gg", [0.05, 0.6, 3.0])
+    @pytest.mark.parametrize("gn", [0.2, 1.0, 9.0])
+    def test_e0_convex_in_s(self, gg, gn):
+        params = _params(gg, gn)
+        vals = np.array([e0(float(s), params) for s in np.linspace(1e-6, 1.0 - 1e-6, 2001)])
+        assert np.diff(vals, 2).min() >= -1e-8
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        gg=st.floats(min_value=0.05, max_value=3.0),
+        gn=st.floats(min_value=0.2, max_value=9.0),
+        n=st.integers(min_value=16, max_value=40000),
+        fracs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_bound_monotone_in_k_prime_and_n(self, gg, gn, n, fracs):
+        params = _params(gg, gn)
+
+        def bound(n_, kp):
+            return min_leakage_bound(CodeParams(n_, 0, kp), params).log2_bound
+
+        kp_small, kp_big = sorted(int(f * n) for f in fracs)
+        at_small = bound(n, kp_small)
+        slack = 1e-9 * (1.0 + abs(at_small))
+        assert bound(n, kp_big) <= at_small + slack
+        assert bound(2 * n, kp_small) >= at_small - slack
 
 
 class TestNoiselessMainBounds:
