@@ -44,7 +44,7 @@ def test_schema(i):
 
 
 @pytest.mark.parametrize("i", sorted(FIGURES))
-def test_matches_golden_reference(i, tmp_path, capsys):
+def test_matches_golden_reference(i, tmp_path):
     out = tmp_path / f"figure_{i}.csv"
     assert main(["reproduce", "--figure", str(i), "--out", str(out)]) == 0
     want = (PERFBENCH / "ref" / f"figure_{i}.csv").read_text()
