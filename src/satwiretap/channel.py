@@ -3,6 +3,8 @@
 Bob observes Y = E0*x + sqrt(N0)*G; Eve observes Z = gamma_g*E0*x +
 sqrt(gamma_n*N0)*G'. Both channels are real scalar Gaussians with the BPSK
 symbol x in {+1, -1} (bit 0 maps to +1, bit 1 to -1, fixed project-wide).
+ndtr is the standard-normal CDF that the other modules take Gaussian tail
+probabilities from.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "WiretapChannelParams",
@@ -25,6 +26,21 @@ __all__ = [
 ]
 
 _BPSK = (1, -1)
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def ndtr(x: float) -> float:
+    """Standard normal CDF Phi(x) for a scalar x, with full precision in both tails.
+
+    Follows the branches of cephes' ndtr: 0.5 + 0.5*erf(x/sqrt2) near zero,
+    otherwise the tail 0.5*erfc(|x|/sqrt2) directly, subtracted from one
+    only for x > 0, so Phi(-x) never loses digits to cancellation.
+    """
+    y = x * _SQRT_HALF
+    if abs(y) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(y)
+    tail = 0.5 * math.erfc(abs(y))
+    return 1.0 - tail if y > 0 else tail
 
 
 @dataclass(frozen=True)
@@ -151,4 +167,4 @@ def eve_hard_decision_crossover(params: WiretapChannelParams) -> float:
     one half.
     """
     ratio = params.eve_amplitude / math.sqrt(params.eve_noise_var)
-    return float(ndtr(-ratio))
+    return ndtr(-ratio)

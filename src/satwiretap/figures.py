@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .capacity import capacity_curves, cs_gamma_sweep, mi_biawgn, secrecy_capacity
+from .capacity import capacity_curves, cs_gamma_sweep, mi_biawgn
 from .channel import WiretapChannelParams, density_eve, mixture_density_eve
 from .channel import density_bob, mixture_density_bob
 from .geometry import beta, protected_region_map
@@ -138,11 +138,13 @@ def figure_7() -> Rows:
 def figure_8() -> Rows:
     """Positivity-condition accuracy over the (gamma_g, gamma_n) plane."""
     fields = ["gamma_g", "gamma_n", "sqrt_gamma_n", "c_s", "predicate", "measured"]
+    gn_grid = np.arange(0.25, 2.251, 0.25)
+    gg_grid = np.arange(0.05, 1.501, 0.05)
+    c_s = {(r["gamma_g"], r["gamma_n"]): r["c_s"] for r in cs_gamma_sweep(gg_grid, gn_grid)}
     rows = []
-    for gn in np.arange(0.25, 2.251, 0.25):
-        for gg in np.arange(0.05, 1.501, 0.05):
-            params = WiretapChannelParams(gamma_g=float(gg), gamma_n=float(gn))
-            cs = secrecy_capacity(params).c_s
+    for gn in gn_grid:
+        for gg in gg_grid:
+            cs = c_s[gg, gn]
             rows.append(
                 {
                     "gamma_g": float(gg),

@@ -10,11 +10,12 @@ conversion to log2 happens at each public boundary.
 
 psi and E0 are expectations over Eve's log-likelihood ratio, so they depend
 on the channel only through r = a/sigma. E0 is evaluated in the folded form
-E0(s) = s*ln2 + ln(Phi(r) + J(s)), with J from quadrature.llr_integral, for a
-whole array of s in one call; min_leakage_bound scans its s-grid that way and
-refines the minimum by zooming the same call. J vanishes as s -> 1, so the
-analytic limit E0_max(s->1) = ln(2*Phi(r)) is the same formula; the
-minimization treats s=1 as that endpoint and flags it through s_star=1.
+E0(s) = s*ln2 + ln(Phi(r) + J(s)), with Phi from channel.ndtr and J from
+quadrature.llr_integral, for a whole array of s in one call; min_leakage_bound
+scans its s-grid that way and refines the minimum by zooming the same call.
+J vanishes as s -> 1, so the analytic limit E0_max(s->1) = ln(2*Phi(r)) is
+the same formula; the minimization treats s=1 as that endpoint and flags it
+through s_star=1.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import WiretapChannelParams
+from .channel import WiretapChannelParams, ndtr
 from .quadrature import llr_integral
 
 __all__ = [
@@ -91,11 +92,6 @@ def _eve_ratio(params: WiretapChannelParams) -> float:
     return params.eve_amplitude / math.sqrt(params.eve_noise_var)
 
 
-def _upper_tail(r: float) -> float:
-    # Q(r) = 1 - Phi(r)
-    return 0.5 * math.erfc(r / math.sqrt(2.0))
-
-
 def _e0_nats(s, r: float):
     """E0(s) = s*ln2 + ln(Phi(r) + J(s)) for scalar or array s in (0, 1).
 
@@ -108,7 +104,7 @@ def _e0_nats(s, r: float):
     t = 1.0 - s
     col = t[..., None]
     j = llr_integral(r, lambda llr: np.expm1(col * np.log1p(np.exp(-llr / col))), t)
-    return s * _LN2 + np.log1p(j - _upper_tail(r))
+    return s * _LN2 + np.log1p(j - ndtr(-r))
 
 
 def psi(s: float, params: WiretapChannelParams) -> float:
@@ -129,7 +125,7 @@ def psi(s: float, params: WiretapChannelParams) -> float:
         log_lead = -s * np.log1p(np.exp(-llr))
         return np.expm1(log_lead) + np.exp(log_lead - (1.0 + s) * llr)
 
-    return s * _LN2 + math.log1p(float(llr_integral(r, excess)) - _upper_tail(r))
+    return s * _LN2 + math.log1p(float(llr_integral(r, excess)) - ndtr(-r))
 
 
 def e0(s: float, params: WiretapChannelParams) -> float:
@@ -161,7 +157,7 @@ def e0_max_s1_limit(params: WiretapChannelParams) -> float:
     2*Phi(a/sigma), so the limit is ln2 + ln Phi(a/sigma): E0's formula with
     J = 0. It is exactly 0 when gamma_g = 0.
     """
-    return _LN2 + math.log1p(-_upper_tail(_eve_ratio(params)))
+    return _LN2 + math.log1p(-ndtr(-_eve_ratio(params)))
 
 
 def leakage_bound(s: float, code: CodeParams, params: WiretapChannelParams) -> float:

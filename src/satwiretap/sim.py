@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
-from .channel import WiretapChannelParams
+from .channel import WiretapChannelParams, ndtr
 from .code import (
     DecodeFailure,
     EccScheme,
@@ -238,7 +237,7 @@ class EveQuantizer:
         """P(level | transmitted symbol) for Eve's Gaussian observation."""
         mean = params.eve_amplitude * symbol
         sigma = math.sqrt(params.eve_noise_var)
-        cum = ndtr((np.asarray(self.interior_edges) - mean) / sigma)
+        cum = [ndtr((edge - mean) / sigma) for edge in self.interior_edges]
         full = np.concatenate([[0.0], cum, [1.0]])
         return np.diff(full)
 

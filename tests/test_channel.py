@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satwiretap.channel import (
     WiretapChannelParams,
@@ -10,6 +13,7 @@ from satwiretap.channel import (
     eve_hard_decision_crossover,
     mixture_density_bob,
     mixture_density_eve,
+    ndtr,
     sample_bob,
     sample_eve,
 )
@@ -186,3 +190,22 @@ class TestCrossover:
             p = _params(gg=float(rng.uniform(0, 2)), gn=float(rng.uniform(0.1, 4)))
             val = eve_hard_decision_crossover(p)
             assert 0.0 <= val <= 0.5
+
+
+class TestNdtr:
+    def test_matches_scipy_over_both_tails(self):
+        xs = np.linspace(-37.0, 37.0, 74_001)
+        ours = np.array([ndtr(x) for x in xs])
+        assert np.all(ours > 0.0)
+        np.testing.assert_allclose(ours, scipy.special.ndtr(xs), rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-8.0, max_value=8.0))
+    def test_symmetric_to_four_ulp(self, x):
+        assert abs(ndtr(x) + ndtr(-x) - 1.0) <= 4 * math.ulp(1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-40.0, max_value=40.0), st.floats(min_value=0.0, max_value=80.0))
+    def test_monotone_non_decreasing(self, x, step):
+        # the neighbour below x catches a drop where the two branches meet at |x| = 1
+        assert ndtr(math.nextafter(x, -math.inf)) <= ndtr(x) <= ndtr(x + step)

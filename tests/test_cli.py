@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -295,3 +299,19 @@ class TestConfigAndOutput:
         rc, _, err = run_cli(capsys)
         assert rc == 2
         assert "SUBCOMMAND" in err or "usage" in err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, satwiretap.cli; print(satwiretap.cli.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded_from, scipy_modules = result.stdout.splitlines()
+    assert Path(loaded_from).resolve().is_relative_to(Path(src).resolve())
+    assert scipy_modules == "[]"

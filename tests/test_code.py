@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satwiretap.code import (
     DecodeFailure,
@@ -21,6 +23,10 @@ from satwiretap.code import (
 
 def _bits(text):
     return np.array([int(c) for c in text], dtype=np.uint8)
+
+
+def _draw_bits(data, size):
+    return np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)), np.uint8)
 
 
 def _enumerate(length):
@@ -161,15 +167,15 @@ class TestHash:
             seed = rng.integers(0, 2, 6, dtype=np.uint8)
             assert not hash_bits(np.zeros(7, np.uint8), seed, 4, 3).any()
 
-    def test_linearity(self):
-        rng = np.random.default_rng(61)
-        seed = rng.integers(0, 2, 6, dtype=np.uint8)
-        for _ in range(20):
-            u = rng.integers(0, 2, 7, dtype=np.uint8)
-            v = rng.integers(0, 2, 7, dtype=np.uint8)
-            left = hash_bits(u ^ v, seed, 4, 3)
-            right = hash_bits(u, seed, 4, 3) ^ hash_bits(v, seed, 4, 3)
-            assert np.array_equal(left, right)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16), st.integers(0, 16), st.data())
+    def test_linearity(self, k, k_prime, data):
+        seed = _draw_bits(data, k + k_prime - 1)
+        u = _draw_bits(data, k + k_prime)
+        v = _draw_bits(data, k + k_prime)
+        left = hash_bits(u ^ v, seed, k, k_prime)
+        right = hash_bits(u, seed, k, k_prime) ^ hash_bits(v, seed, k, k_prime)
+        assert np.array_equal(left, right)
 
     def test_length_checked(self):
         with pytest.raises(ValueError):
@@ -257,16 +263,21 @@ class TestEncodeDecode:
             twice = once ^ toeplitz_mul_fast(seed, l, k, kp)
             assert np.array_equal(twice, m)
 
-    def test_noiseless_round_trip_all_schemes(self):
-        rng = np.random.default_rng(18)
-        for name, k, kp in [("identity", 3, 2), ("rep3", 2, 2), ("hamming74", 2, 2)]:
-            ecc = make_ecc(name, k + kp)
-            for _ in range(25):
-                seed = rng.integers(0, 2, k + kp - 1, dtype=np.uint8)
-                m = rng.integers(0, 2, k, dtype=np.uint8)
-                l = rng.integers(0, 2, kp, dtype=np.uint8)
-                y = bits_to_bpsk(encode(m, l, seed, ecc))
-                assert np.array_equal(decode(y, seed, ecc, k), m)
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["identity", "rep3", "hamming74"]), st.data())
+    def test_noiseless_round_trip_all_schemes(self, name, data):
+        if name == "hamming74":
+            k = data.draw(st.integers(1, 4))
+            kp = 4 - k
+        else:
+            k = data.draw(st.integers(1, 12))
+            kp = data.draw(st.integers(0, 12))
+        ecc = make_ecc(name, k + kp)
+        seed = _draw_bits(data, k + kp - 1)
+        m = _draw_bits(data, k)
+        l = _draw_bits(data, kp)
+        y = bits_to_bpsk(encode(m, l, seed, ecc))
+        assert np.array_equal(decode(y, seed, ecc, k), m)
 
     def test_single_flip_still_recovers_with_hamming(self):
         ecc = make_ecc("hamming74", 4)
