@@ -18,7 +18,7 @@ from .capacity import capacity_curves, cs_gamma_sweep, mi_biawgn
 from .channel import WiretapChannelParams, density_eve, mixture_density_eve
 from .channel import density_bob, mixture_density_bob
 from .geometry import beta, protected_region_map
-from .leakage import CodeParams, e0_max, min_leakage_bound
+from .leakage import CodeParams, _e0_nats, _eve_ratio, _min_bound_rows
 
 Rows = Tuple[List[str], List[dict]]
 
@@ -165,16 +165,11 @@ def figure_9() -> Rows:
     s_grid = np.linspace(0.01, 0.99, 99)
     for gg in (0.6, 0.3):
         for gn in (1.0, 2.0, 4.0):
+            # E0_max is the uniform-input E0 (symmetric channel): one call per channel
             params = WiretapChannelParams(gamma_g=gg, gamma_n=gn)
-            for s in s_grid:
-                rows.append(
-                    {
-                        "gamma_g": gg,
-                        "gamma_n": gn,
-                        "s": float(s),
-                        "e0_max_nats": e0_max(float(s), params),
-                    }
-                )
+            values = _e0_nats(s_grid, _eve_ratio(params))
+            for s, value in zip(s_grid.tolist(), values.tolist()):
+                rows.append({"gamma_g": gg, "gamma_n": gn, "s": s, "e0_max_nats": value})
     return fields, rows
 
 
@@ -190,23 +185,25 @@ def _bound_sweep(n: int, points) -> Rows:
         "log2_bound",
     ]
     rows = []
-    rho_grid = np.arange(0.005, 0.3001, 0.005)
+    rho_grid = np.arange(0.005, 0.3001, 0.005).tolist()
+    codes = [CodeParams(n=n, k=n - kp, k_prime=kp) for kp in (round(rho * n) for rho in rho_grid)]
     for gg, sqrt_gn in points:
         params = WiretapChannelParams(gamma_g=gg, gamma_n=sqrt_gn * sqrt_gn)
-        for rho in rho_grid:
-            k_prime = int(round(rho * n))
-            code = CodeParams(n=n, k=n - k_prime, k_prime=k_prime)
-            result = min_leakage_bound(code, params, s_grid_resolution=120)
+        # every rate of a channel in one minimization: the s-scan depends only on the channel
+        *_, s_star, best, _ = _min_bound_rows(
+            n, params, [code.k_prime for code in codes], s_grid_resolution=120
+        )
+        for rho, code, s, bound in zip(rho_grid, codes, s_star.tolist(), best.tolist()):
             rows.append(
                 {
                     "gamma_g": gg,
                     "sqrt_gamma_n": sqrt_gn,
                     "gamma_n": sqrt_gn * sqrt_gn,
                     "n": n,
-                    "rho_sec": float(rho),
-                    "k_prime": k_prime,
-                    "s_star": result.s_star,
-                    "log2_bound": result.log2_bound,
+                    "rho_sec": rho,
+                    "k_prime": code.k_prime,
+                    "s_star": s,
+                    "log2_bound": bound,
                 }
             )
     return fields, rows

@@ -11,18 +11,23 @@ conversion to log2 happens at each public boundary.
 psi and E0 are expectations over Eve's log-likelihood ratio, so they depend
 on the channel only through r = a/sigma. E0 is evaluated in the folded form
 E0(s) = s*ln2 + ln(Phi(r) + J(s)), with Phi from channel.ndtr and J from
-quadrature.llr_integral, for a whole array of s in one call; min_leakage_bound
-scans its s-grid that way and refines the minimum by zooming the same call.
-J vanishes as s -> 1, so the analytic limit E0_max(s->1) = ln(2*Phi(r)) is
-the same formula; the minimization treats s=1 as that endpoint and flags it
-through s_star=1.
+quadrature.llr_integral, for a whole array of s in one call; the same call
+can also return E0' and E0'', differentiated under the integral.
+
+min_leakage_bound scans its s-grid once and then runs a bracketed Newton
+iteration on the derivative of the objective, -1/s + n*E0'(s) - k'*ln2; E0 is
+convex in s, so that derivative has one root. The scan does not depend on k',
+so one scan serves every sacrifice size of a channel, and the figures
+minimize all their rates in one batch. J vanishes as s -> 1, so the analytic
+limit E0_max(s->1) = ln(2*Phi(r)) is the same formula; the minimization
+treats s=1 as that endpoint and reports which case supplied s*.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -46,7 +51,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _S_EPS = 1e-6
-_ZOOM_POINTS = 33
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -79,32 +85,65 @@ class CodeParams:
 class LeakageBound:
     """Minimized leakage bound: optimizing s, its log2 value, sampled curve.
 
-    s_star == 1.0 means the analytic s=1 endpoint won the minimization; the
+    s_star_source says where s_star came from: "interior" for a stationary
+    point inside the scanned range, "grid_edge" when the bound still falls
+    towards the first or last scan sample (s = 1e-6 or 1 - 1e-6), and
+    "endpoint" when the analytic s=1 endpoint won (then s_star == 1.0). The
     curve always carries the endpoint as its last sample.
     """
 
     s_star: float
     log2_bound: float
     curve: tuple[tuple[float, float], ...]
+    s_star_source: Literal["interior", "grid_edge", "endpoint"]
 
 
 def _eve_ratio(params: WiretapChannelParams) -> float:
     return params.eve_amplitude / math.sqrt(params.eve_noise_var)
 
 
-def _e0_nats(s, r: float):
+def _e0_nats(s, r: float, derivatives: bool = False):
     """E0(s) = s*ln2 + ln(Phi(r) + J(s)) for scalar or array s in (0, 1).
 
-    J = integral over z >= 0 of W+(z) * ((1 + e^(-L/t))^t - 1) with t = 1 - s,
-    the part of E0's integral that the folded LLR adds to Phi(r).
+    J = integral over z >= 0 of W+(z) * h with h = e^(t*l) - 1, t = 1 - s,
+    x = L/t >= 0 and l = ln(1 + e^(-x)): the part of E0's integral that the
+    folded LLR adds to Phi(r). With `derivatives`, returns (E0, E0', E0'')
+    from the same integral call. With sigma = e^(-x)/(1 + e^(-x)),
+
+        dh/dt   = (1 + h) * (l + x*sigma),
+        d2h/dt2 = (1 + h) * ((l + x*sigma)^2 + x^2*sigma*(1 - sigma)/t),
+
+    J_s = -J_t and J_ss = J_tt, so with M = Phi(r) + J,
+    E0' = ln2 + J_s/M and E0'' = J_ss/M - (J_s/M)^2.
     """
     s = np.asarray(s, dtype=float)
     if r == 0.0:
-        return np.zeros_like(s)
+        zero = np.zeros_like(s)
+        return (zero, zero, zero) if derivatives else zero
     t = 1.0 - s
     col = t[..., None]
-    j = llr_integral(r, lambda llr: np.expm1(col * np.log1p(np.exp(-llr / col))), t)
-    return s * _LN2 + np.log1p(j - ndtr(-r))
+
+    def integrand(llr):
+        if not derivatives:
+            # h alone, with no named temporaries: a 400-point scan makes each
+            # of them 0.6 MB
+            return np.expm1(col * np.log1p(np.exp(-llr / col)))
+        x = llr / col
+        tail = np.exp(-x)
+        ell = np.log1p(tail)
+        h = np.expm1(col * ell)
+        sigma = tail / (1.0 + tail)
+        slope = ell + x * sigma
+        curvature = slope * slope + x * x * sigma * (1.0 - sigma) / col
+        return np.stack((h, (1.0 + h) * slope, (1.0 + h) * curvature))
+
+    j = llr_integral(r, integrand, t)
+    if not derivatives:
+        return s * _LN2 + np.log1p(j - ndtr(-r))
+    j, j_t, j_tt = j
+    excess = j - ndtr(-r)
+    ratio = j_t / (1.0 + excess)
+    return s * _LN2 + np.log1p(excess), _LN2 - ratio, j_tt / (1.0 + excess) - ratio * ratio
 
 
 def psi(s: float, params: WiretapChannelParams) -> float:
@@ -172,10 +211,74 @@ def leakage_bound(s: float, code: CodeParams, params: WiretapChannelParams) -> f
     return nats / _LN2
 
 
-def _leakage_bound_endpoint(code: CodeParams, params: WiretapChannelParams) -> float:
-    # s = 1: the -ln(s) term vanishes and E0_max is replaced by its limit.
-    nats = code.n * e0_max_s1_limit(params) - code.k_prime * _LN2
-    return nats / _LN2
+def _bound_bits(s, e0_nats, n: int, k_prime):
+    return (-np.log(s) + n * e0_nats - s * k_prime * _LN2) / _LN2
+
+
+def _min_bound_rows(
+    n: int, params: WiretapChannelParams, k_primes, s_grid_resolution: int
+):
+    """Minimize the leakage bound over s in (0, 1] for every k' in `k_primes`.
+
+    One kernel call scans the s-grid for all rows. Each row then starts from
+    its best sample, bracketed by that sample's grid neighbours, and takes
+    Newton steps s - f'/f'' on f(s) = -ln s + n*E0(s) - s*k'*ln2, with
+    f'' = 1/s^2 + n*E0'' > 0; a step that leaves the bracket becomes a
+    bisection. Each iteration is one kernel call on the rows still moving,
+    and a row stops once its Newton or bisection step is at most 1e-12, at
+    the last point it evaluated. That point competes with the best grid
+    sample and then with the analytic s=1 endpoint.
+
+    Returns (s, curves, s_star, log2_bound, source): the scan points with
+    s=1 appended, and per row its curve over them in log2 bits, the
+    minimizer, the minimum and where the minimizer came from.
+    """
+    if s_grid_resolution < 100:
+        raise ValueError(f"s_grid_resolution must be >= 100, got {s_grid_resolution}")
+    r = _eve_ratio(params)
+    k_primes = np.asarray(k_primes, dtype=float)
+    grid = np.linspace(_S_EPS, 1.0 - _S_EPS, s_grid_resolution)
+    values = _bound_bits(grid, _e0_nats(grid, r), n, k_primes[:, None])
+    i = np.argmin(values, axis=1)
+    lo = grid[np.maximum(i - 1, 0)]
+    hi = grid[np.minimum(i + 1, s_grid_resolution - 1)]
+    s_star = grid[i]
+    best = np.empty_like(s_star)
+    active = np.arange(k_primes.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        s = s_star[active]
+        e, d1, d2 = _e0_nats(s, r, derivatives=True)
+        best[active] = _bound_bits(s, e, n, k_primes[active])
+        slope = -1.0 / s + n * d1 - k_primes[active] * _LN2
+        lo[active] = np.where(slope < 0.0, s, lo[active])
+        hi[active] = np.where(slope > 0.0, s, hi[active])
+        newton = s - slope / (1.0 / (s * s) + n * d2)
+        inside = (lo[active] < newton) & (newton < hi[active])
+        step = np.where(inside, newton, 0.5 * (lo[active] + hi[active]))
+        # a converged Newton step may land on the bracket end it just set
+        moving = np.minimum(np.abs(newton - s), np.abs(step - s)) > _NEWTON_TOL
+        active = active[moving]
+        s_star[active] = step[moving]
+        if active.size == 0:
+            break
+    else:
+        raise ValueError(
+            f"leakage-bound minimization did not converge for k' = {k_primes[active]} "
+            f"after {_NEWTON_MAX_ITER} Newton steps"
+        )
+
+    grid_best = values.min(axis=1)
+    on_grid = grid_best < best
+    s_star = np.where(on_grid, grid[i], s_star)
+    best = np.where(on_grid, grid_best, best)
+    source = np.where((s_star == grid[0]) | (s_star == grid[-1]), "grid_edge", "interior")
+    endpoint = (n * e0_max_s1_limit(params) - k_primes * _LN2) / _LN2
+    at_endpoint = endpoint <= best
+    s_star = np.where(at_endpoint, 1.0, s_star)
+    best = np.where(at_endpoint, endpoint, best)
+    source = np.where(at_endpoint, "endpoint", source)
+    curves = np.column_stack((values, endpoint))
+    return np.append(grid, 1.0), curves, s_star, best, source
 
 
 def min_leakage_bound(
@@ -185,41 +288,24 @@ def min_leakage_bound(
 ) -> LeakageBound:
     """Minimize the leakage bound over s in (0, 1].
 
-    A scan over (eps, 1-eps] brackets the minimum between the neighbours of
-    the best sample; the bracket is then resampled at 33 points and narrowed
-    to the neighbours of the best one until it is 1e-10 wide. E0 is convex in
-    s, so the bound has a single minimum. The analytic s=1 endpoint competes
-    with the interior result. The returned curve holds the scan samples plus
-    the endpoint, so callers can plot or audit the minimization.
+    A scan over [1e-6, 1 - 1e-6] brackets the minimum between the neighbours
+    of the best sample; a safeguarded Newton iteration on the bound's
+    derivative, with E0' and E0'' from the same kernel as E0, then refines it
+    until its step is at most 1e-12. E0 is convex in s, so the bound has a
+    single minimum. The refined point competes with the best scan sample,
+    and the analytic s=1 endpoint with both. The returned curve holds the
+    scan samples plus the endpoint, so callers can plot or audit the
+    minimization. Raises ValueError if the iteration does not converge.
     """
-    if s_grid_resolution < 100:
-        raise ValueError(f"s_grid_resolution must be >= 100, got {s_grid_resolution}")
-    r = _eve_ratio(params)
-
-    def f(s: np.ndarray) -> np.ndarray:
-        nats = -np.log(s) + code.n * _e0_nats(s, r) - s * code.k_prime * _LN2
-        return nats / _LN2
-
-    grid = np.linspace(_S_EPS, 1.0 - _S_EPS, s_grid_resolution)
-    values = f(grid)
-    i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, s_grid_resolution - 1)]
-    while hi - lo > 1e-10:
-        zoom = np.linspace(lo, hi, _ZOOM_POINTS)
-        j = int(np.argmin(f(zoom)))
-        lo, hi = zoom[max(j - 1, 0)], zoom[min(j + 1, _ZOOM_POINTS - 1)]
-    s_star = 0.5 * (lo + hi)
-    best = float(f(s_star))
-    if values[i] < best:
-        s_star, best = float(grid[i]), float(values[i])
-
-    endpoint = _leakage_bound_endpoint(code, params)
-    curve = [(float(s), float(v)) for s, v in zip(grid, values)]
-    curve.append((1.0, endpoint))
-    if endpoint <= best:
-        s_star, best = 1.0, endpoint
-    return LeakageBound(s_star=float(s_star), log2_bound=float(best), curve=tuple(curve))
+    s, curves, s_star, best, source = _min_bound_rows(
+        code.n, params, [code.k_prime], s_grid_resolution
+    )
+    return LeakageBound(
+        s_star=float(s_star[0]),
+        log2_bound=float(best[0]),
+        curve=tuple(zip(s.tolist(), curves[0].tolist())),
+        s_star_source=str(source[0]),
+    )
 
 
 def noiseless_main_bounds(

@@ -2,7 +2,9 @@
 
 The rule has 8 equal panels of 24 Gauss-Legendre nodes on [0, 1], built once
 at import as read-only arrays, so it integrates polynomials up to degree 47
-exactly and every call is one deterministic dot product.
+exactly. Every integral is one dot product with the weights, summed in the
+same order whatever else is integrated in the same call, so an integral does
+not change in its last bits with the batch it was evaluated in.
 
 llr_integral evaluates the integrals behind the capacity and exponent
 kernels. For the BPSK Gaussian channel with amplitude a and noise std sigma,
@@ -42,10 +44,13 @@ def integrate(f, lo, hi):
     """Integrate a vectorized f over [lo, hi] on the fixed rule.
 
     `hi` may be an array: the result then holds one integral per entry, and
-    f receives one row of nodes per entry.
+    f receives one row of nodes per entry. f may stack several integrands
+    along a new leading axis; the result then has that axis too.
     """
     width = np.subtract(hi, lo)
-    return f(lo + np.multiply.outer(width, NODES)) @ WEIGHTS * width
+    # einsum, not @: BLAS matrix-vector products round a row differently
+    # depending on its position in the matrix
+    return np.einsum("...j,j->...", f(lo + np.multiply.outer(width, NODES)), WEIGHTS) * width
 
 
 def llr_integral(r: float, g, t=1.0):
@@ -54,7 +59,8 @@ def llr_integral(r: float, g, t=1.0):
     The window ends where the LLR reaches 40*t, which is enough for integrands
     that decay like e^(-L/t), or at u = r + 12, past which phi holds less than
     1e-32 of its mass. `t` may be an array: g then receives one row of LLRs
-    per entry and returns values of the same shape. Requires r > 0.
+    per entry and returns values of the same shape, or a stack of such arrays
+    (see integrate). Requires r > 0.
     """
     u_max = np.minimum(20.0 * np.asarray(t, dtype=float), r * (r + 12.0)) / r
     return integrate(

@@ -86,7 +86,7 @@ def test_criterion_03_exponent_slope_is_mutual_information():
 def test_criterion_04_reference_operating_points():
     # Externally published reference values for these two operating points
     # are -200 +- 20 and -50 +- 10 bits. Three mutually independent methods
-    # in this codebase (grid scan plus zoom minimization, the s=1 endpoint
+    # in this codebase (grid scan plus Newton minimization, the s=1 endpoint
     # formula, and direct high-resolution scans) agree on different values, so
     # this criterion is expected red; the README records the analysis.
     start = time.perf_counter()

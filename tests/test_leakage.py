@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satwiretap import leakage
 from satwiretap.capacity import mi_biawgn
 from satwiretap.channel import WiretapChannelParams
 from satwiretap.leakage import (
     CodeParams,
+    _e0_nats,
+    _eve_ratio,
+    _min_bound_rows,
     e0,
     e0_max,
     e0_max_s1_limit,
@@ -121,6 +125,32 @@ class TestE0:
         assert near_one == pytest.approx(e0_max_s1_limit(P_MAIN), abs=1e-5)
 
 
+class TestE0Derivatives:
+    # A central difference with step h carries a rounding error of about d/h
+    # (first) or 4d/h^2 (second), where d ~ 1e-15 is the absolute error of one
+    # E0 value, a few ulps of numbers below ln 2. h = 1e-6 gives 1e-9 for E0',
+    # and its truncation h^2/6 * E0''' stays below 3e-10 on these channels;
+    # h = 1e-5 gives 4e-5 for E0'', which its truncation stays well below.
+    S = np.concatenate(([1e-4, 1e-3], np.linspace(0.01, 0.99, 99), [1.0 - 1e-3, 1.0 - 1e-4]))
+
+    @pytest.mark.parametrize("gg", [0.05, 0.6, 3.0])
+    @pytest.mark.parametrize("gn", [0.2, 1.0, 9.0])
+    def test_match_central_differences(self, gg, gn):
+        r = _eve_ratio(_params(gg, gn))
+        value, first, second = _e0_nats(self.S, r, derivatives=True)
+        assert np.array_equal(value, _e0_nats(self.S, r))
+        h = 1e-6
+        slope = (_e0_nats(self.S + h, r) - _e0_nats(self.S - h, r)) / (2.0 * h)
+        np.testing.assert_allclose(first, slope, rtol=0, atol=2e-9)
+        h = 1e-5
+        up, down = _e0_nats(self.S + h, r), _e0_nats(self.S - h, r)
+        np.testing.assert_allclose(second, (up - 2.0 * value + down) / h**2, rtol=0, atol=4e-5)
+
+    def test_blind_eve_is_zero(self):
+        for part in _e0_nats(np.array([0.1, 0.9]), 0.0, derivatives=True):
+            assert np.array_equal(part, np.zeros(2))
+
+
 class TestLeakageBound:
     def test_blind_eve_closed_form(self):
         code = CodeParams(n=256, k=128, k_prime=128)
@@ -153,7 +183,51 @@ class TestMinLeakageBound:
         code = CodeParams(n=256, k=128, k_prime=128)
         res = min_leakage_bound(code, P_BLIND)
         assert res.s_star == 1.0
+        assert res.s_star_source == "endpoint"
         assert res.log2_bound == pytest.approx(-128.0, abs=1e-6)
+
+    def test_interior_source(self):
+        res = min_leakage_bound(CodeParams(n=32400, k=29160, k_prime=3240), P_MAIN)
+        assert res.s_star_source == "interior"
+        assert 0.4 < res.s_star < 0.5
+
+    def test_grid_edge_source(self):
+        # with k' = 0 the objective's minimum sits near 1/(n*I(X;Z)), below the
+        # first scan sample once n*I exceeds 1e6, so the bound falls to that edge
+        res = min_leakage_bound(CodeParams(n=10**8, k=10**8, k_prime=0), P_MAIN)
+        assert res.s_star_source == "grid_edge"
+        assert res.s_star == res.curve[0][0] == 1e-6
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        monkeypatch.setattr(leakage, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(ValueError, match="did not converge"):
+            min_leakage_bound(CodeParams(n=32400, k=29160, k_prime=3240), P_MAIN)
+
+    @pytest.mark.parametrize(
+        "n, params", [(32400, P_MAIN), (8192, _params(0.3, 1.0)), (8192, _params(0.05, 9.0))]
+    )
+    def test_batch_matches_single_rows(self, n, params):
+        k_primes = [round(rho * n) for rho in np.arange(0.0, 0.3001, 0.01).tolist()]
+        _, _, s_star, best, source = _min_bound_rows(n, params, k_primes, 120)
+        for kp, s, b, src in zip(k_primes, s_star.tolist(), best.tolist(), source.tolist()):
+            res = min_leakage_bound(CodeParams(n, 0, kp), params, s_grid_resolution=120)
+            assert (res.s_star, res.log2_bound, res.s_star_source) == (s, b, src)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gg=st.floats(min_value=0.05, max_value=3.0),
+        gn=st.floats(min_value=0.2, max_value=9.0),
+        n=st.integers(min_value=16, max_value=40000),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_minimum_below_neighbours_and_curve(self, gg, gn, n, frac):
+        params = _params(gg, gn)
+        code = CodeParams(n, 0, int(frac * n))
+        res = min_leakage_bound(code, params)
+        for s in (res.s_star - 1e-6, res.s_star + 1e-6):
+            if 0.0 < s < 1.0:
+                assert res.log2_bound <= leakage_bound(s, code, params) + 1e-9
+        assert res.log2_bound <= min(v for _, v in res.curve) + 1e-9
 
     def test_resolution_floor_enforced(self):
         with pytest.raises(ValueError):
@@ -185,8 +259,9 @@ class TestMinLeakageBound:
 
 
 class TestMinimizerPremises:
-    # the minimizer zooms in on one bracket, which is sound because E0 is
-    # convex in s: the objective -ln s + n*E0(s) - s*k'*ln2 then has one minimum
+    # the minimizer runs Newton inside one bracket, which is sound because E0
+    # is convex in s: the objective -ln s + n*E0(s) - s*k'*ln2 then has one
+    # minimum, and its derivative one root
 
     @pytest.mark.parametrize("gg", [0.05, 0.6, 3.0])
     @pytest.mark.parametrize("gn", [0.2, 1.0, 9.0])
