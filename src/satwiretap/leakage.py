@@ -15,12 +15,13 @@ quadrature.llr_integral, for a whole array of s in one call; the same call
 can also return E0' and E0'', differentiated under the integral.
 
 min_leakage_bound scans its s-grid once and then runs a bracketed Newton
-iteration on the derivative of the objective, -1/s + n*E0'(s) - k'*ln2; E0 is
-convex in s, so that derivative has one root. The scan does not depend on k',
-so one scan serves every sacrifice size of a channel, and the figures
-minimize all their rates in one batch. J vanishes as s -> 1, so the analytic
-limit E0_max(s->1) = ln(2*Phi(r)) is the same formula; the minimization
-treats s=1 as that endpoint and reports which case supplied s*.
+iteration on s times the derivative of the objective,
+-1 + s*(n*E0'(s) - k'*ln2); E0 is convex in s, so that derivative has one
+root. The scan does not depend on k', so one scan serves every sacrifice
+size of a channel, and the figures minimize all their rates in one batch.
+J vanishes as s -> 1, so the analytic limit E0_max(s->1) = ln(2*Phi(r)) is
+the same formula; the minimization treats s=1 as that endpoint and reports
+which case supplied s*.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ _LN2 = math.log(2.0)
 _S_EPS = 1e-6
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 64
+_SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,8 @@ def _e0_nats(s, r: float, derivatives: bool = False):
 
     def integrand(llr):
         if not derivatives:
-            # h alone, with no named temporaries: a 400-point scan makes each
-            # of them 0.6 MB
+            # h alone, with no named temporaries: a 64-point scan block makes
+            # each of them 96 kB
             return np.expm1(col * np.log1p(np.exp(-llr / col)))
         x = llr / col
         tail = np.exp(-x)
@@ -222,12 +224,16 @@ def _min_bound_rows(
 
     One kernel call scans the s-grid for all rows. Each row then starts from
     its best sample, bracketed by that sample's grid neighbours, and takes
-    Newton steps s - f'/f'' on f(s) = -ln s + n*E0(s) - s*k'*ln2, with
-    f'' = 1/s^2 + n*E0'' > 0; a step that leaves the bracket becomes a
-    bisection. Each iteration is one kernel call on the rows still moving,
-    and a row stops once its Newton or bisection step is at most 1e-12, at
-    the last point it evaluated. That point competes with the best grid
-    sample and then with the analytic s=1 endpoint.
+    Newton steps on g(s) = s*f'(s) = -1 + s*(n*E0'(s) - k'*ln2), where
+    f(s) = -ln s + n*E0(s) - s*k'*ln2. g has the sign and the root of f' but
+    is nearly linear where the -1/s term dominates f': Newton on f' itself
+    would only about double s per step there, up to 15 steps for a minimum
+    in the first grid cell, against at most 6 on g. A step that leaves the
+    bracket, or meets g' <= 0, becomes a bisection. Each iteration is one
+    kernel call on the rows still moving, and a row stops once its Newton or
+    bisection step is at most 1e-12, at the last point it evaluated. That
+    point competes with the best grid sample and then with the analytic s=1
+    endpoint.
 
     Returns (s, curves, s_star, log2_bound, source): the scan points with
     s=1 appended, and per row its curve over them in log2 bits, the
@@ -238,7 +244,11 @@ def _min_bound_rows(
     r = _eve_ratio(params)
     k_primes = np.asarray(k_primes, dtype=float)
     grid = np.linspace(_S_EPS, 1.0 - _S_EPS, s_grid_resolution)
-    values = _bound_bits(grid, _e0_nats(grid, r), n, k_primes[:, None])
+    # in blocks of 64 values of s: each kernel temporary stays under 100 kB, so
+    # it is reused from the heap instead of mapped and faulted in afresh
+    blocks = np.split(grid, range(_SCAN_BLOCK, s_grid_resolution, _SCAN_BLOCK))
+    e0_grid = np.concatenate([_e0_nats(block, r) for block in blocks])
+    values = _bound_bits(grid, e0_grid, n, k_primes[:, None])
     i = np.argmin(values, axis=1)
     lo = grid[np.maximum(i - 1, 0)]
     hi = grid[np.minimum(i + 1, s_grid_resolution - 1)]
@@ -249,10 +259,14 @@ def _min_bound_rows(
         s = s_star[active]
         e, d1, d2 = _e0_nats(s, r, derivatives=True)
         best[active] = _bound_bits(s, e, n, k_primes[active])
-        slope = -1.0 / s + n * d1 - k_primes[active] * _LN2
-        lo[active] = np.where(slope < 0.0, s, lo[active])
-        hi[active] = np.where(slope > 0.0, s, hi[active])
-        newton = s - slope / (1.0 / (s * s) + n * d2)
+        rate = n * d1 - k_primes[active] * _LN2
+        scaled = s * rate - 1.0
+        lo[active] = np.where(scaled < 0.0, s, lo[active])
+        hi[active] = np.where(scaled > 0.0, s, hi[active])
+        # g' = rate + s*n*E0''; where it is <= 0, rate <= 0 and g <= -1, so the
+        # unit divisor throws the step past s + 1, out of the bracket
+        curvature = rate + s * n * d2
+        newton = s - scaled / np.where(curvature > 0.0, curvature, 1.0)
         inside = (lo[active] < newton) & (newton < hi[active])
         step = np.where(inside, newton, 0.5 * (lo[active] + hi[active]))
         # a converged Newton step may land on the bracket end it just set
@@ -289,7 +303,7 @@ def min_leakage_bound(
     """Minimize the leakage bound over s in (0, 1].
 
     A scan over [1e-6, 1 - 1e-6] brackets the minimum between the neighbours
-    of the best sample; a safeguarded Newton iteration on the bound's
+    of the best sample; a safeguarded Newton iteration on s times the bound's
     derivative, with E0' and E0'' from the same kernel as E0, then refines it
     until its step is at most 1e-12. E0 is convex in s, so the bound has a
     single minimum. The refined point competes with the best scan sample,

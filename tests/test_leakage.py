@@ -203,6 +203,23 @@ class TestMinLeakageBound:
         with pytest.raises(ValueError, match="did not converge"):
             min_leakage_bound(CodeParams(n=32400, k=29160, k_prime=3240), P_MAIN)
 
+    def test_minimum_in_first_grid_cell_converges_in_few_steps(self, monkeypatch):
+        # near s = 0 the -1/s term dominates f', where Newton on f' only about
+        # doubles s per step; on s*f'(s) it lands in a few steps
+        kernel = leakage._e0_nats
+        newton_calls = []
+
+        def counting(s, r, derivatives=False):
+            if derivatives:
+                newton_calls.append(s)
+            return kernel(s, r, derivatives)
+
+        monkeypatch.setattr(leakage, "_e0_nats", counting)
+        res = min_leakage_bound(CodeParams(64800, 0, 7307), _params(1.091969, 2.929147))
+        assert res.s_star_source == "interior"
+        assert 1e-6 < res.s_star < res.curve[1][0]
+        assert len(newton_calls) <= 6
+
     @pytest.mark.parametrize(
         "n, params", [(32400, P_MAIN), (8192, _params(0.3, 1.0)), (8192, _params(0.05, 9.0))]
     )
