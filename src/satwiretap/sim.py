@@ -1,11 +1,16 @@
 """Monte-Carlo reliability simulation and exact small-instance leakage oracles.
 
 run_reliability estimates Bob-side bit and frame error rates for the full
-encode/transmit/decode chain. exact_leakage brute-forces I(M; Z^n) on tiny
-instances against a quantized Eve channel, giving an independent witness that
-the analytic leakage bounds hold (quantization only discards information, so
-the exact quantized leakage must sit below any valid bound on the continuous
-channel). mc_mutual_info is a sampling cross-check for the BI-AWGN quadrature.
+encode/transmit/decode chain; its 95% intervals are Wilson score intervals.
+exact_leakage brute-forces I(M; Z^n) on tiny instances against a quantized
+Eve channel, giving an independent witness that the analytic leakage bounds
+hold (quantization only discards information, so the exact quantized leakage
+must sit below any valid bound on the continuous channel). It sweeps the
+2^(k+k'-1) hash seeds as a tree that sums out one sacrifice bit per level,
+so seeds sharing their last bits share the work above them: k' levels of
+2^(2k+k'-1) * levels^n additions of nonnegative probabilities, against
+2^(2k+2k'-1) * levels^n table reads for a separate gather per seed.
+mc_mutual_info is a sampling cross-check for the BI-AWGN quadrature.
 
 Determinism: every stochastic routine is driven by a master seed; trial blocks
 use substreams keyed by (master_seed, block_index), so results are identical
@@ -28,7 +33,6 @@ from .code import (
     _enumerate_bits,
     bits_from_ints,
     bits_to_bpsk,
-    bits_to_hex,
     toeplitz_apply_batch,
 )
 from .leakage import CodeParams, min_leakage_bound
@@ -50,16 +54,23 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MAX_HASH_INPUT_BITS = 10
 _MAX_ORACLE_BLOCK = 12
 _MAX_ORACLE_CELLS = 1 << 22
+# the oracle's seed sweep runs on output blocks with at least this many cells
+# per leaf: enough to amortize each numpy call, few enough to keep the tree's
+# buffers near the cache
+_SWEEP_LEAF_CELLS = 1 << 13
+_TINY = float(np.nextafter(0.0, 1.0))  # log2(_TINY) = -1074, finite
 
 
 @dataclass(frozen=True)
 class ReliabilityReport:
     """Error-rate tallies for a reliability run.
 
-    ci95 fields are binomial 95% half-widths by the normal approximation
-    z * sqrt(p(1-p)/N) with N the number of Bernoulli observations (trials*k
-    for ber, trials for fer); no continuity correction is applied, so the
-    width is optimistic for very small error counts.
+    ci95 fields are half-widths of the 95% Wilson score interval (Brown, Cai
+    & DasGupta, Stat. Sci. 2001), z / (1 + z^2/N) * sqrt(p(1-p)/N +
+    z^2/(4N^2)) with N the number of Bernoulli observations (trials*k for
+    ber, trials for fer). The interval is centred on (p + z^2/(2N)) /
+    (1 + z^2/N), which lies between p and 1/2, so it is not p +- half-width:
+    with zero errors it is [0, z^2/(N + z^2)] and the half-width is positive.
     """
 
     trials: int
@@ -87,7 +98,9 @@ class ReliabilityReport:
 
 
 def _half_width(p: float, n: int) -> float:
-    return _Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+    """Half-width of the 95% Wilson score interval for a rate p over n trials."""
+    z2 = _Z95 * _Z95
+    return _Z95 / (1.0 + z2 / n) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
 
 
 def _reliability_block(
@@ -272,12 +285,30 @@ class LeakageOracleReport:
     bound_bits: float
 
 
-def _discrete_mi_bits(cond: np.ndarray) -> float:
-    """I(M; Z) in bits for rows cond[m] = P(z | m), M uniform."""
+def _mi_sum(cond: np.ndarray, work: np.ndarray) -> float:
+    """Sum over cells of cond * log2(cond / marginal), with 0 where cond = 0.
+
+    cond[m, z] is c * P(z | m) for uniform M and any scale c > 0, restricted
+    to some subset of outputs z, so I(M; Z) in bits is the sum over all output
+    blocks divided by c * rows. Clamping to the smallest positive double keeps
+    log2 finite at zero cells without changing any positive one. work is
+    scratch space of cond's shape.
+    """
     marginal = cond.mean(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(cond > 0.0, np.log2(cond) - np.log2(marginal), 0.0)
-    return float(np.sum(cond * ratio) / cond.shape[0])
+    np.maximum(marginal, _TINY, out=marginal)
+    np.maximum(cond, _TINY, out=work)
+    np.log2(work, out=work)
+    work -= np.log2(marginal)
+    work *= cond
+    return float(work.sum())
+
+
+def _extend(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Append one codeword position: out[w, z * L + x] = q[w, z] * f[w, x]."""
+    out = np.empty(q.shape + f.shape[1:])
+    for x in range(f.shape[1]):
+        np.multiply(q, f[:, x, None], out=out[:, :, x])
+    return out.reshape(q.shape[0], -1)
 
 
 def exact_leakage(
@@ -292,6 +323,20 @@ def exact_leakage(
     n-tuple; returns the seed-averaged I(M; Z^n) together with the analytic
     minimized bound for the same (n, k, k') and channel. Pass quantizer=None
     for the default 8-level uniform quantizer.
+
+    The seeds are swept as a tree. Let R_0[u, l] = P(z | ECC(u, l)) for every
+    premixed message u and sacrifice word l. Column j of the Toeplitz matrix
+    is the seed window c_j = seed[k'-1-j : k'-1-j+k], and summing out
+    sacrifice bit j gives R_{j+1}[u, l_>j] = R_j[u, (0, l_>j)] +
+    R_j[u ^ c_j, (1, l_>j)], so R_j depends only on the last k+j-1 seed bits
+    for j >= 1 and sibling seeds share every level above them. After k' levels
+    R_k'[m] = 2^k' P(z | m) for one seed. Each level costs
+    2^(2k+k'-1) * levels^n additions of nonnegative probabilities, against
+    2^(2k+2k'-1) * levels^n reads for a per-seed gather. u ^ c_j is a view
+    that reverses the message-bit axes where c_j has a one. The outputs z are
+    swept in blocks just wide enough that each leaf holds _SWEEP_LEAF_CELLS
+    cells, so the tree's buffers stay small and the full output table is
+    never built.
     """
     k, kp, n = code.k, code.k_prime, code.n
     if k + kp > _MAX_HASH_INPUT_BITS:
@@ -308,33 +353,59 @@ def exact_leakage(
     if (1 << (k + kp)) * levels**n > _MAX_ORACLE_CELLS:
         raise ValueError("instance too large: output table exceeds the enumeration cap")
 
-    rows = (quantizer.level_probs(+1.0, params), quantizer.level_probs(-1.0, params))
-
-    # joint quantized-output distribution for every raw hash input, ECC applied
+    rows = np.stack([quantizer.level_probs(+1.0, params), quantizer.level_probs(-1.0, params)])
+    # factors[w, i] = P(level of z_i | codeword bit i) for raw hash input w
     n_inputs = 1 << (k + kp)
-    table = np.empty((n_inputs, levels**n))
-    for w, v in enumerate(_enumerate_bits(k + kp)):
-        cw = bits_from_ints(ecc.encode(v))
-        q = np.ones(1)
-        for bit in cw:
-            q = np.multiply.outer(q, rows[bit]).ravel()
-        table[w] = q
+    factors = rows[ecc.encode(_enumerate_bits(k + kp))]
+    m_count = 1 << k
 
-    pow_k = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    all_m = _enumerate_bits(k)
-    all_l = _enumerate_bits(kp)
-    l_count = 1 << kp
+    # an output block fixes Eve's first n - tail symbols and spans the rest
+    tail = 0
+    while tail < n and m_count * levels**tail < _SWEEP_LEAF_CELLS:
+        tail += 1
+    width = levels**tail
+    heads = np.ones((n_inputs, 1))
+    for i in range(n - tail):
+        heads = _extend(heads, factors[:, i])
 
+    msg_axes = (2,) * k
+    flips = [
+        tuple(slice(None, None, -1) if (c >> (k - 1 - i)) & 1 else slice(None) for i in range(k))
+        for c in range(m_count)
+    ]
+    tree = [None] + [np.empty(msg_axes + (1 << (kp - j), width)) for j in range(1, kp + 1)]
+    work = np.empty((m_count, width))
     seed_len = k + kp - 1
-    per_seed = []
+    sums = np.zeros(1 << seed_len)
+
+    def descend(j: int, column: int, seed: int) -> None:
+        # R_{j+1} from R_j with column c_j; seed holds the seed bits used so far
+        src, half = tree[j], 1 << (kp - 1 - j)
+        np.add(src[..., :half, :], src[flips[column] + (slice(half, None),)], out=tree[j + 1])
+        if j + 1 == kp:
+            sums[seed] += _mi_sum(tree[kp].reshape(m_count, width), work)
+            return
+        for bit in (0, 1):
+            descend(j + 1, (bit << (k - 1)) | (column >> 1), seed | (bit << (k + j)))
+
+    for h in range(heads.shape[1]):
+        # same factors in the same order as a per-codeword outer product
+        block = heads[:, h, None]
+        for i in range(n - tail, n):
+            block = _extend(block, factors[:, i])
+        if kp == 0:
+            sums += _mi_sum(block, work)  # the hash ignores the seed
+            continue
+        tree[0] = block.reshape(msg_axes + (1 << kp, width))
+        for column in range(m_count):
+            # c_0 is the last k seed bits, the low bits of the seed's number
+            descend(0, column, column)
+
+    leaks = (sums / (m_count << kp)).tolist()
+    seed_words = np.packbits(_enumerate_bits(seed_len), axis=1)
+    per_seed = tuple((word.tobytes().hex(), leak) for word, leak in zip(seed_words, leaks))
     total = 0.0
-    for seed in _enumerate_bits(seed_len):
-        t_l = toeplitz_apply_batch(np.broadcast_to(seed, (l_count, seed_len)), all_l, k, kp)
-        mixed = all_m[:, None, :] ^ t_l[None, :, :]
-        idx = (mixed.astype(np.int64) @ pow_k) * l_count + np.arange(l_count)[None, :]
-        cond = table[idx].mean(axis=1)
-        leak = _discrete_mi_bits(cond)
-        per_seed.append((bits_to_hex(seed), leak))
+    for leak in leaks:
         total += leak
 
     bound = min_leakage_bound(code, params)
@@ -345,7 +416,7 @@ def exact_leakage(
         k_prime=kp,
         levels=levels,
         exact_leak_bits=total / (1 << seed_len),
-        per_seed=tuple(per_seed),
+        per_seed=per_seed,
         bound_log2=bound.log2_bound,
         bound_bits=bound_bits,
     )

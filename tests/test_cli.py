@@ -1,13 +1,18 @@
 import csv
 import io
 import os
+import re
+import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from satwiretap.cli import main
+from satwiretap.cli import _load_config, main
 from satwiretap.code import bits_to_hex, hash_bits, hex_to_bits
 
 
@@ -238,6 +243,11 @@ class TestReproduce:
         assert rc == 1 and "error:" in err
 
 
+# config keys hold no space, '=' or '#'; values may hold '=' but not '#'
+_KEY_CHARS = string.ascii_letters + string.digits + "_-."
+_VALUE_CHARS = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) != "#")
+
+
 class TestConfigAndOutput:
     def test_config_sets_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -269,6 +279,43 @@ class TestConfigAndOutput:
         cfg.write_text("gamma_g 0.9\n")
         rc, _, err = run_cli(capsys, "capacity", "--config", str(cfg))
         assert rc == 1 and "error:" in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(_KEY_CHARS, min_size=1, max_size=12),
+                st.text(_VALUE_CHARS, max_size=12).map(str.strip),
+                st.sampled_from(["", " ", "\t", "  "]),
+                st.sampled_from(["", "# note", "  #k=v", "#"]),
+                st.booleans(),
+            ),
+            max_size=8,
+        )
+    )
+    def test_config_parser_round_trip(self, entries):
+        # padding, comments and blank lines do not change the KEY=VALUE pairs
+        lines, expected = [], {}
+        for key, value, pad, comment, blank in entries:
+            if blank:
+                lines.append(pad + comment)
+            lines.append(f"{pad}{key}{pad}={pad}{value}{pad}{comment}")
+            expected[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            assert _load_config(path) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 5), st.text(_KEY_CHARS + " ", min_size=1, max_size=12))
+    def test_config_line_without_equals_names_its_line(self, before, bad):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("# header\n" + "a=1\n" * before + f" {bad}x \nb=2\n")
+            with pytest.raises(ValueError, match=re.escape(f"{path}:{before + 2}:")):
+                _load_config(path)
 
     def test_config_value_of_wrong_type(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -322,6 +322,17 @@ class TestCosetPreimage:
             for m in _enumerate(3):
                 assert coset_preimage_size(ecc, seed, m) == 4
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_balanced_property(self, data):
+        # every message has exactly 2^k' preimages under (I, T(seed))
+        k = data.draw(st.integers(1, 8))
+        kp = data.draw(st.integers(0, 8 - k))
+        ecc = make_ecc(data.draw(st.sampled_from(["identity", "rep3"])), k + kp)
+        seed = _draw_bits(data, k + kp - 1)
+        m = _draw_bits(data, k)
+        assert coset_preimage_size(ecc, seed, m) == 2**kp
+
     def test_zero_seed_still_balanced(self):
         ecc = make_ecc("identity", 5)
         for m in _enumerate(3):

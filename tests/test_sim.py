@@ -1,15 +1,28 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from satwiretap.capacity import mi_biawgn
 from satwiretap.channel import WiretapChannelParams
-from satwiretap.code import DecodeFailure, IdentityCode, make_ecc
+from satwiretap.code import (
+    DecodeFailure,
+    IdentityCode,
+    bits_to_hex,
+    make_ecc,
+    toeplitz_from_seed,
+    toeplitz_mul_naive,
+)
 from satwiretap.leakage import CodeParams
+from satwiretap import sim
 from satwiretap.sim import (
+    _Z95,
     EveQuantizer,
+    _half_width,
     exact_leakage,
     make_eve_quantizer,
     mc_mutual_info,
@@ -17,6 +30,75 @@ from satwiretap.sim import (
 )
 
 P_MAIN = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0)
+
+
+def _discrete_mi_bits(cond):
+    """I(M; Z) in bits for rows cond[m] = P(z | m), M uniform."""
+    marginal = cond.mean(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(cond > 0.0, np.log2(cond) - np.log2(marginal), 0.0)
+    return float(np.sum(cond * ratio) / cond.shape[0])
+
+
+def _gather_leaks(code, ecc, quantizer, params):
+    """Per-seed (seed_hex, leak_bits) by brute force, in numeric seed order.
+
+    The reference for exact_leakage's tree sweep: for each seed, gather the
+    output row of every (m, l) from a table of P(z | ECC(u, l)) and average
+    over l, hashing with the naive Toeplitz product.
+    """
+    k, kp = code.k, code.k_prime
+    rows = (quantizer.level_probs(+1.0, params), quantizer.level_probs(-1.0, params))
+    table = []
+    for v in itertools.product((0, 1), repeat=k + kp):
+        q = np.ones(1)
+        for bit in ecc.encode(np.array(v, np.uint8)):
+            q = np.multiply.outer(q, rows[bit]).ravel()
+        table.append(q)
+    table = np.array(table)
+    all_m = np.array(list(itertools.product((0, 1), repeat=k)), np.int64)
+    all_l = np.array(list(itertools.product((0, 1), repeat=kp)), np.uint8)
+    pow_k = 1 << np.arange(k - 1, -1, -1)
+    leaks = []
+    for seed in itertools.product((0, 1), repeat=k + kp - 1):
+        seed = np.array(seed, np.uint8)
+        t = toeplitz_from_seed(seed, k, kp)
+        t_l = np.array([toeplitz_mul_naive(t, l) for l in all_l], np.int64)
+        mixed = all_m[:, None, :] ^ t_l[None, :, :]
+        idx = (mixed @ pow_k) * len(all_l) + np.arange(len(all_l))[None, :]
+        leaks.append((bits_to_hex(seed), _discrete_mi_bits(table[idx].mean(axis=1))))
+    return leaks
+
+
+def _assert_matches_gather(code, ecc, quantizer, params):
+    report = exact_leakage(code, ecc, quantizer, params)
+    reference = _gather_leaks(code, ecc, quantizer, params)
+    assert [h for h, _ in report.per_seed] == [h for h, _ in reference]
+    for (_, leak), (_, ref) in zip(report.per_seed, reference):
+        assert leak == pytest.approx(ref, rel=0.0, abs=1e-12)
+    mean = sum(ref for _, ref in reference) / len(reference)
+    assert report.exact_leak_bits == pytest.approx(mean, rel=0.0, abs=1e-12)
+    return report
+
+
+@st.composite
+def _oracle_instances(draw):
+    """(code, ecc, quantizer, params) with k in 1..3, k' in 0..4, any valid ECC.
+
+    rep3 is valid up to k + k' = 4, where its block reaches the n <= 12 cap.
+    """
+    k = draw(st.integers(1, 3))
+    kp = draw(st.integers(0, 4))
+    names = ["identity"] + (["rep3"] if k + kp <= 4 else []) + (["hamming74"] if k + kp == 4 else [])
+    ecc = make_ecc(draw(st.sampled_from(names)), k + kp)
+    n = ecc.block_length
+    # keep the brute-force table small; two levels always fit
+    top = max(lv for lv in (2, 3, 4) if (1 << (k + kp)) * lv**n <= 1 << 16)
+    levels = draw(st.integers(2, top))
+    params = WiretapChannelParams(
+        gamma_g=draw(st.floats(0.0, 2.0)), gamma_n=draw(st.floats(0.2, 5.0))
+    )
+    return CodeParams(n, k, kp), ecc, make_eve_quantizer(params, levels), params
 
 
 class _FlakyIdentity(IdentityCode):
@@ -47,6 +129,25 @@ class TestRunReliability:
         assert report.frame_errors == 0
         assert report.decode_failures == 0
         assert report.ber == 0.0 and report.fer == 0.0
+
+    def test_zero_errors_still_have_an_interval(self):
+        # Wilson at zero errors: [0, z^2/(N + z^2)], half-width z^2/(2(N + z^2))
+        params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=1e-24)
+        report = run_reliability(
+            CodeParams(7, 2, 2), make_ecc("hamming74", 4), params, 2000, 5
+        )
+        assert report.bit_errors == 0 and report.frame_errors == 0
+        z2 = _Z95 * _Z95
+        assert report.fer_ci95 > 0.0 and report.ber_ci95 > 0.0
+        assert report.fer_ci95 == pytest.approx(z2 / (2.0 * (2000 + z2)), rel=1e-12)
+        assert report.ber_ci95 == pytest.approx(z2 / (2.0 * (4000 + z2)), rel=1e-12)
+
+    def test_wilson_half_width_hand_computed(self):
+        # 10 errors in 100 trials: the Wilson 95% interval is [0.05523, 0.17437]
+        assert _half_width(0.1, 100) == pytest.approx(0.0595682622221192, rel=1e-12)
+        centre = (0.1 + _Z95**2 / 200.0) / (1.0 + _Z95**2 / 100.0)
+        assert centre - _half_width(0.1, 100) == pytest.approx(0.05523, abs=1e-5)
+        assert centre + _half_width(0.1, 100) == pytest.approx(0.17437, abs=1e-5)
 
     def test_uncoded_ber_matches_gaussian_tail(self):
         # k = 1, no sacrifice bits, identity ECC: ber = Q(e0 / sqrt(n0))
@@ -244,6 +345,45 @@ class TestExactLeakage:
         spread = exact_leakage(CodeParams(3, 1, 0), make_ecc("rep3", 1), None, P_MAIN)
         # repetition makes Eve's job easier, not harder
         assert spread.exact_leak_bits >= plain.exact_leak_bits
+
+    @settings(max_examples=60, deadline=None)
+    @given(_oracle_instances())
+    def test_tree_sweep_matches_per_seed_gather(self, instance):
+        _assert_matches_gather(*instance)
+
+    def test_no_sacrifice_bits_every_seed_equal(self):
+        # k' = 0: the tree has no levels and the hash ignores the seed
+        q = make_eve_quantizer(P_MAIN, levels=4)
+        report = _assert_matches_gather(CodeParams(3, 3, 0), make_ecc("identity", 3), q, P_MAIN)
+        assert [h for h, _ in report.per_seed] == ["00", "40", "80", "c0"]
+        assert len({leak for _, leak in report.per_seed}) == 1
+
+    def test_one_sacrifice_bit(self):
+        # k' = 1: one level whose column c_0 is the whole seed
+        params = WiretapChannelParams(gamma_g=0.8, gamma_n=0.7)
+        q = make_eve_quantizer(params, levels=3)
+        _assert_matches_gather(CodeParams(3, 2, 1), make_ecc("identity", 3), q, params)
+        _assert_matches_gather(CodeParams(6, 1, 1), make_ecc("rep3", 2), q, params)
+
+    def test_output_blocks_match_whole_table(self, monkeypatch):
+        # the sweep's output blocks must not change the result
+        params = WiretapChannelParams(gamma_g=0.6, gamma_n=1.1)
+        q = make_eve_quantizer(params, levels=3)
+        args = (CodeParams(7, 2, 2), make_ecc("hamming74", 4), q, params)
+        whole = exact_leakage(*args)
+        monkeypatch.setattr(sim, "_SWEEP_LEAF_CELLS", 8)
+        blocked = exact_leakage(*args)
+        for (h1, a), (h2, b) in zip(whole.per_seed, blocked.per_seed):
+            assert h1 == h2 and a == pytest.approx(b, rel=0.0, abs=1e-13)
+
+    def test_zero_probability_cells_contribute_nothing(self):
+        # a very clear Eve makes some quantizer bins underflow to exactly 0
+        params = WiretapChannelParams(gamma_g=3.0, gamma_n=0.01)
+        q = make_eve_quantizer(params, levels=4)
+        rows = np.stack([q.level_probs(s, params) for s in (+1.0, -1.0)])
+        assert (rows == 0.0).any()
+        report = _assert_matches_gather(CodeParams(4, 2, 2), make_ecc("identity", 4), q, params)
+        assert all(math.isfinite(leak) for _, leak in report.per_seed)
 
     def test_feasibility_caps(self):
         with pytest.raises(ValueError):
