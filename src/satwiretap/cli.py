@@ -52,90 +52,71 @@ def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--out", help="write CSV here instead of stdout")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="satwiretap",
-        description="keyless physical-layer secrecy toolkit for satellite links",
-    )
-    subs = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-    by_name: Dict[str, argparse.ArgumentParser] = {}
+def _geometry_flags(sub: argparse.ArgumentParser):
+    sub.add_argument("--rho-b", type=float, default=1000.0, help="Alice-Bob distance, km")
+    sub.add_argument("--rho-e", type=float, default=1000.0, help="Alice-Eve distance, km")
+    sub.add_argument("--theta-e", type=float, default=2.0, help="Eve off-axis angle, degrees")
+    sub.add_argument("--r", type=float, default=2.0, help="Eve path-loss exponent")
+    sub.add_argument("--a", type=float, default=2.0, help="antenna decay exponent")
+    sub.add_argument("--mu", type=float, default=1.0, help="relative antenna gain in [0,1]")
+    sub.add_argument("--grid", help="region map: THETA_LO:HI:N,RATIO_LO:HI:N")
 
-    g = subs.add_parser("geometry", help="gamma_g from link geometry, or a region map")
-    g.add_argument("--rho-b", type=float, default=1000.0, help="Alice-Bob distance, km")
-    g.add_argument("--rho-e", type=float, default=1000.0, help="Alice-Eve distance, km")
-    g.add_argument("--theta-e", type=float, default=2.0, help="Eve off-axis angle, degrees")
-    g.add_argument("--r", type=float, default=2.0, help="Eve path-loss exponent")
-    g.add_argument("--a", type=float, default=2.0, help="antenna decay exponent")
-    g.add_argument("--mu", type=float, default=1.0, help="relative antenna gain in [0,1]")
-    g.add_argument("--grid", help="region map: THETA_LO:HI:N,RATIO_LO:HI:N")
-    _common_flags(g)
-    by_name["geometry"] = g
 
-    c = subs.add_parser("capacity", help="secrecy capacity point or SNR sweep")
-    _channel_flags(c, 0.3, 1.0)
-    c.add_argument("--snr-sweep", help="SNR sweep in dB: LO:HI:N")
-    _common_flags(c)
-    by_name["capacity"] = c
+def _capacity_flags(sub: argparse.ArgumentParser):
+    _channel_flags(sub, 0.3, 1.0)
+    sub.add_argument("--snr-sweep", help="SNR sweep in dB: LO:HI:N")
 
-    d = subs.add_parser("densities", help="mixture pdf samples at Bob or Eve")
-    d.add_argument("--side", choices=("bob", "eve"), default="bob")
-    _channel_flags(d, 0.5, 1.0)
-    d.add_argument("--points", type=int, default=401)
-    _common_flags(d)
-    by_name["densities"] = d
 
-    b = subs.add_parser("bound", help="leakage bound curve over s and its minimum")
-    b.add_argument("--n", type=int, default=32400, help="block length")
-    b.add_argument("--k-prime", type=int, default=None, help="sacrifice bits")
-    b.add_argument("--rho-sec", type=float, default=None, help="wiretap rate k'/n")
-    _channel_flags(b, 0.3, 2.0)
-    b.add_argument("--s-grid", type=int, default=400, help="s samples in (0,1)")
-    _common_flags(b)
-    by_name["bound"] = b
+def _densities_flags(sub: argparse.ArgumentParser):
+    sub.add_argument("--side", choices=("bob", "eve"), default="bob")
+    _channel_flags(sub, 0.5, 1.0)
+    sub.add_argument("--points", type=int, default=401)
 
-    k = subs.add_parser("code", help="encode/decode/hash with hex bit words")
-    k.add_argument("--op", choices=("encode", "decode", "hash"), default=None)
-    k.add_argument("--k", type=int, default=None, help="secret bits")
-    k.add_argument("--k-prime", type=int, default=None, help="sacrifice bits")
-    k.add_argument("--ecc", choices=("identity", "rep3", "hamming74"), default="identity")
-    k.add_argument("--seed", default=None, help="hash seed, hex, k+k'-1 bits")
-    k.add_argument("--message", default=None, help="encode: k bits, hex")
-    k.add_argument("--sacrifice", default=None, help="encode: k' bits, hex")
-    k.add_argument("--word", default=None, help="decode: n received bits / hash: k+k' bits")
-    _common_flags(k)
-    by_name["code"] = k
 
-    s = subs.add_parser("simulate", help="Monte-Carlo reliability run on Bob's channel")
-    s.add_argument("--n", type=int, default=1)
-    s.add_argument("--k", type=int, default=1)
-    s.add_argument("--k-prime", type=int, default=0)
-    s.add_argument("--ecc", choices=("identity", "rep3", "hamming74"), default="identity")
-    _channel_flags(s, 0.5, 1.0)
-    s.add_argument("--trials", type=int, default=100000)
-    s.add_argument("--master-seed", type=int, default=1)
-    s.add_argument("--hash-seed", default=None, help="fix the hash seed, hex")
-    s.add_argument("--block-size", type=int, default=8192)
-    s.add_argument("--threads", type=int, default=1, help="worker cap")
-    _common_flags(s)
-    by_name["simulate"] = s
+def _bound_flags(sub: argparse.ArgumentParser):
+    sub.add_argument("--n", type=int, default=32400, help="block length")
+    sub.add_argument("--k-prime", type=int, default=None, help="sacrifice bits")
+    sub.add_argument("--rho-sec", type=float, default=None, help="wiretap rate k'/n")
+    _channel_flags(sub, 0.3, 2.0)
+    sub.add_argument("--s-grid", type=int, default=400, help="s samples in (0,1)")
 
-    o = subs.add_parser("oracle", help="exact quantized leakage on a tiny instance")
-    o.add_argument("--n", type=int, default=4)
-    o.add_argument("--k", type=int, default=1)
-    o.add_argument("--k-prime", type=int, default=3)
-    o.add_argument("--ecc", choices=("identity", "rep3", "hamming74"), default="identity")
-    o.add_argument("--levels", type=int, default=8, help="Eve quantizer levels")
-    _channel_flags(o, 0.3, 2.0)
-    o.add_argument("--per-seed", action="store_true", help="emit one row per hash seed")
-    _common_flags(o)
-    by_name["oracle"] = o
 
-    rp = subs.add_parser("reproduce", help="write the dataset behind one figure")
-    rp.add_argument("--figure", type=int, choices=range(1, 12), default=None, metavar="1..11")
-    _common_flags(rp)
-    by_name["reproduce"] = rp
+def _code_flags(sub: argparse.ArgumentParser):
+    sub.add_argument("--op", choices=("encode", "decode", "hash"), default=None)
+    sub.add_argument("--k", type=int, default=None, help="secret bits")
+    sub.add_argument("--k-prime", type=int, default=None, help="sacrifice bits")
+    sub.add_argument("--ecc", choices=("identity", "rep3", "hamming74"), default="identity")
+    sub.add_argument("--seed", default=None, help="hash seed, hex, k+k'-1 bits")
+    sub.add_argument("--message", default=None, help="encode: k bits, hex")
+    sub.add_argument("--sacrifice", default=None, help="encode: k' bits, hex")
+    sub.add_argument("--word", default=None, help="decode: n received bits / hash: k+k' bits")
 
-    return parser, by_name
+
+def _simulate_flags(sub: argparse.ArgumentParser):
+    sub.add_argument("--n", type=int, default=1)
+    sub.add_argument("--k", type=int, default=1)
+    sub.add_argument("--k-prime", type=int, default=0)
+    sub.add_argument("--ecc", choices=("identity", "rep3", "hamming74"), default="identity")
+    _channel_flags(sub, 0.5, 1.0)
+    sub.add_argument("--trials", type=int, default=100000)
+    sub.add_argument("--master-seed", type=int, default=1)
+    sub.add_argument("--hash-seed", default=None, help="fix the hash seed, hex")
+    sub.add_argument("--block-size", type=int, default=8192)
+    sub.add_argument("--threads", type=int, default=1, help="worker cap")
+
+
+def _oracle_flags(sub: argparse.ArgumentParser):
+    sub.add_argument("--n", type=int, default=4)
+    sub.add_argument("--k", type=int, default=1)
+    sub.add_argument("--k-prime", type=int, default=3)
+    sub.add_argument("--ecc", choices=("identity", "rep3", "hamming74"), default="identity")
+    sub.add_argument("--levels", type=int, default=8, help="Eve quantizer levels")
+    _channel_flags(sub, 0.3, 2.0)
+    sub.add_argument("--per-seed", action="store_true", help="emit one row per hash seed")
+
+
+def _reproduce_flags(sub: argparse.ArgumentParser):
+    sub.add_argument("--figure", type=int, choices=range(1, 12), default=None, metavar="1..11")
 
 
 def _load_config(path: str) -> Dict[str, str]:
@@ -175,10 +156,9 @@ def _apply_config(sub: argparse.ArgumentParser, pairs: Dict[str, str]):
 def _emit(fields: List[str], rows: List[dict], out: Optional[str]) -> None:
     stream = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
     try:
-        writer = csv.DictWriter(stream, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([row[f] for f in fields] for row in rows)
     finally:
         if out:
             stream.close()
@@ -356,36 +336,63 @@ def _cmd_reproduce(args) -> None:
     _emit(fields, rows, args.out)
 
 
-_COMMANDS = {
-    "geometry": _cmd_geometry,
-    "capacity": _cmd_capacity,
-    "densities": _cmd_densities,
-    "bound": _cmd_bound,
-    "code": _cmd_code,
-    "simulate": _cmd_simulate,
-    "oracle": _cmd_oracle,
-    "reproduce": _cmd_reproduce,
+# name -> (help, flag builder, handler), in the order help lists them
+_SUBCOMMANDS = {
+    "geometry": ("gamma_g from link geometry, or a region map", _geometry_flags, _cmd_geometry),
+    "capacity": ("secrecy capacity point or SNR sweep", _capacity_flags, _cmd_capacity),
+    "densities": ("mixture pdf samples at Bob or Eve", _densities_flags, _cmd_densities),
+    "bound": ("leakage bound curve over s and its minimum", _bound_flags, _cmd_bound),
+    "code": ("encode/decode/hash with hex bit words", _code_flags, _cmd_code),
+    "simulate": ("Monte-Carlo reliability run on Bob's channel", _simulate_flags, _cmd_simulate),
+    "oracle": ("exact quantized leakage on a tiny instance", _oracle_flags, _cmd_oracle),
+    "reproduce": ("write the dataset behind one figure", _reproduce_flags, _cmd_reproduce),
 }
 
 
+def build_parser(argv: Sequence[str] = ()):
+    """The argparse tree and its name -> subparser map.
+
+    When argv[0] names a subcommand only that subparser is built: argparse
+    would route argv to it anyway, and the top level has no option but -h.
+    Otherwise (help, no subcommand, an invalid one) all of them are built, so
+    the top-level help and the invalid-choice error list every subcommand.
+    """
+    parser = argparse.ArgumentParser(
+        prog="satwiretap",
+        description="keyless physical-layer secrecy toolkit for satellite links",
+    )
+    subs = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
+    invoked = argv[0] if argv else None
+    names = [invoked] if invoked in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        help_text, add_flags, _ = _SUBCOMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        add_flags(sub)
+        _common_flags(sub)
+    return parser, subs.choices
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, by_name = build_parser()
-    args, _ = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subparsers = build_parser(argv)
+    args, unknown = parser.parse_known_args(argv)
     if args.command is None:
         parser.print_help(sys.stderr)
         return 2
-    if getattr(args, "config", None):
+    if args.config:
         try:
-            _apply_config(by_name[args.command], _load_config(args.config))
+            _apply_config(subparsers[args.command], _load_config(args.config))
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
+    elif unknown:
+        parser.parse_args(argv)  # exits 2 naming the unrecognized arguments
     try:
-        _COMMANDS[args.command](args)
+        _SUBCOMMANDS[args.command][2](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -67,8 +67,12 @@ class ReliabilityReport:
 
     ci95 fields are half-widths of the 95% Wilson score interval (Brown, Cai
     & DasGupta, Stat. Sci. 2001), z / (1 + z^2/N) * sqrt(p(1-p)/N +
-    z^2/(4N^2)) with N the number of Bernoulli observations (trials*k for
-    ber, trials for fer). The interval is centred on (p + z^2/(2N)) /
+    z^2/(4N^2)). For fer, N = trials. Bit errors cluster in frames (the hash
+    unmixing spreads one residual error over several message bits), so for
+    ber N is the effective count trials*k / deff, where the design effect
+    deff >= 1 is the per-frame error count's variance over its value for
+    independent bits (Kish, Survey Sampling, 1965); deff = 1 when k = 1.
+    The interval is centred on (p + z^2/(2N)) /
     (1 + z^2/N), which lies between p and 1/2, so it is not p +- half-width:
     with zero errors it is [0, z^2/(N + z^2)] and the half-width is positive.
     """
@@ -103,6 +107,23 @@ def _half_width(p: float, n: int) -> float:
     return _Z95 / (1.0 + z2 / n) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
 
 
+def _design_effect(bit_errors: int, squares: int, trials: int, k: int) -> float:
+    """Variance of the per-frame bit-error count over its independent-bit value.
+
+    With S = sum e_f and Q = sum e_f^2 over T frames of k bits and p = S/(T k),
+    the frames' variance Q/T - (S/T)^2 over k p (1-p) reduces to
+    k (T Q - S^2) / (S (T k - S)), evaluated in exact integers so that k = 1
+    (where Q = S) gives exactly 1. Clustered errors give more than 1; less
+    than 1 is clipped, and so are p = 0 and p = 1, where there is no spread.
+    """
+    if bit_errors == 0 or bit_errors == trials * k:
+        return 1.0
+    ratio = k * (trials * squares - bit_errors * bit_errors) / (
+        bit_errors * (trials * k - bit_errors)
+    )
+    return max(1.0, ratio)
+
+
 def _reliability_block(
     block_index: int,
     count: int,
@@ -111,7 +132,8 @@ def _reliability_block(
     params: WiretapChannelParams,
     master_seed: int,
     hash_seed: Optional[np.ndarray],
-) -> Tuple[int, int, int]:
+) -> Tuple[int, int, int, int]:
+    """(bit errors, frame errors, decode failures, sum of squared per-frame bit errors)."""
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(block_index,)))
     k, kp, n = code.k, code.k_prime, code.n
     seed_len = k + kp - 1
@@ -132,7 +154,7 @@ def _reliability_block(
         v_hat = ecc.decode(y)
     except DecodeFailure:
         # scheme cannot decode whole batches it rejects; fall back per trial
-        bit_errors = frame_errors = failures = 0
+        bit_errors = frame_errors = failures = squares = 0
         for t in range(count):
             try:
                 v_t = ecc.decode(y[t])
@@ -140,16 +162,23 @@ def _reliability_block(
                 failures += 1
                 frame_errors += 1
                 bit_errors += k
+                squares += k * k
                 continue
             m_t = v_t[:k] ^ toeplitz_apply_batch(seeds[t : t + 1], v_t[None, k:], k, kp)[0]
             diff = int(np.count_nonzero(m_t ^ m[t]))
             bit_errors += diff
             frame_errors += int(diff > 0)
-        return bit_errors, frame_errors, failures
+            squares += diff * diff
+        return bit_errors, frame_errors, failures, squares
 
     m_hat = v_hat[:, :k] ^ toeplitz_apply_batch(seeds, v_hat[:, k:], k, kp)
-    diff = m_hat ^ m
-    return int(diff.sum()), int(diff.any(axis=1).sum()), 0
+    per_frame = (m_hat ^ m).sum(axis=1, dtype=np.int64)
+    return (
+        int(per_frame.sum()),
+        int(np.count_nonzero(per_frame)),
+        0,
+        int(per_frame @ per_frame),
+    )
 
 
 def run_reliability(
@@ -207,9 +236,11 @@ def run_reliability(
     bit_errors = sum(r[0] for r in results)
     frame_errors = sum(r[1] for r in results)
     failures = sum(r[2] for r in results)
+    squares = sum(r[3] for r in results)
     n_bits = trials * code.k
     ber = bit_errors / n_bits
     fer = frame_errors / trials
+    deff = _design_effect(bit_errors, squares, trials, code.k)
     return ReliabilityReport(
         trials=trials,
         message_bits=code.k,
@@ -218,7 +249,7 @@ def run_reliability(
         decode_failures=failures,
         ber=ber,
         fer=fer,
-        ber_ci95=_half_width(ber, n_bits),
+        ber_ci95=_half_width(ber, n_bits / deff),
         fer_ci95=_half_width(fer, trials),
     )
 
@@ -247,12 +278,27 @@ class EveQuantizer:
         return len(self.interior_edges) + 1
 
     def level_probs(self, symbol: float, params: WiretapChannelParams) -> np.ndarray:
-        """P(level | transmitted symbol) for Eve's Gaussian observation."""
+        """P(level | transmitted symbol) for Eve's Gaussian observation.
+
+        A bin above the mean is a difference of upper-tail probabilities and
+        a bin below it of lower-tail ones, so bins far out in either tail keep
+        their relative precision and the rows for +1 and -1 mirror each other
+        under symmetric edges. The bin holding the mean is one minus its tails.
+        """
         mean = params.eve_amplitude * symbol
         sigma = math.sqrt(params.eve_noise_var)
-        cum = [ndtr((edge - mean) / sigma) for edge in self.interior_edges]
-        full = np.concatenate([[0.0], cum, [1.0]])
-        return np.diff(full)
+        z = [(edge - mean) / sigma for edge in self.interior_edges]
+        below = [0.0] + [ndtr(x) for x in z]  # below[j]: P(left of bin j)
+        above = [ndtr(-x) for x in z] + [0.0]  # above[j]: P(right of bin j)
+        probs = np.empty(self.levels)
+        for j in range(self.levels):
+            if j > 0 and z[j - 1] >= 0.0:
+                probs[j] = above[j - 1] - above[j]
+            elif j < self.levels - 1 and z[j] <= 0.0:
+                probs[j] = below[j + 1] - below[j]
+            else:
+                probs[j] = 1.0 - (below[j] + above[j])
+        return probs
 
 
 def make_eve_quantizer(params: WiretapChannelParams, levels: int = 8) -> EveQuantizer:
@@ -261,7 +307,9 @@ def make_eve_quantizer(params: WiretapChannelParams, levels: int = 8) -> EveQuan
         raise ValueError("levels must be >= 2")
     span = params.eve_amplitude + 4.0 * math.sqrt(params.eve_noise_var)
     edges = np.linspace(-span, span, levels + 1)[1:-1]
-    return EveQuantizer(tuple(edges))
+    # linspace is symmetric only to rounding; mirror it exactly so the rows
+    # for +1 and -1 are exact reverses of each other
+    return EveQuantizer(tuple(0.5 * (edges - edges[::-1])))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import os
@@ -8,11 +10,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satwiretap.cli import _load_config, main
+from satwiretap.cli import _emit, _load_config, build_parser, main
 from satwiretap.code import bits_to_hex, hash_bits, hex_to_bits
 
 
@@ -24,6 +27,11 @@ def run_cli(capsys, *argv):
 
 def rows_of(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+SUBCOMMANDS = (
+    "geometry", "capacity", "densities", "bound", "code", "simulate", "oracle", "reproduce",
+)
 
 
 class TestGeometry:
@@ -362,3 +370,107 @@ def test_cli_import_does_not_load_scipy():
     loaded_from, scipy_modules = result.stdout.splitlines()
     assert Path(loaded_from).resolve().is_relative_to(Path(src).resolve())
     assert scipy_modules == "[]"
+
+# CSV cells as the subcommands produce them, plus text that needs quoting
+_CELLS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.text(max_size=8),
+)
+
+
+class TestFrontEnd:
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_lazy_help_matches_full_build(self, capsys, name):
+        texts = []
+        for parser, _ in (build_parser([name, "--help"]), build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([name, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert f"usage: satwiretap {name} " in texts[0]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--", "bound"], ["-h", "bound"]])
+    def test_anything_but_a_leading_subcommand_builds_all(self, argv):
+        _, subparsers = build_parser(argv)
+        assert tuple(subparsers) == SUBCOMMANDS
+
+    def test_leading_subcommand_builds_only_itself(self):
+        for name in SUBCOMMANDS:
+            _, subparsers = build_parser([name, "--n", "5"])
+            assert list(subparsers) == [name]
+
+    def test_top_level_help_and_invalid_choice_list_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        error = capsys.readouterr().err
+        for name in SUBCOMMANDS:
+            assert name in help_text and repr(name) in error
+
+    def test_unknown_argument_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def test_bound_builds_two_parsers(self, capsys, monkeypatch):
+        # the top level and the bound subparser, not all eight subparsers
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        rc, out, _ = run_cli(capsys, "bound", "--n", "1000", "--k-prime", "100")
+        assert rc == 0 and len(rows_of(out)) == 402
+        assert built == ["satwiretap", "satwiretap bound"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=6),
+            )
+        )
+    )
+    def test_emit_matches_dictwriter(self, table):
+        width, values = table
+        fields = [f"f{i}" for i in range(width)]
+        rows = [dict(zip(fields, row)) for row in values]
+        want = io.StringIO()
+        writer = csv.DictWriter(want, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        got = io.StringIO()
+        with contextlib.redirect_stdout(got):
+            _emit(fields, rows, None)
+        assert got.getvalue() == want.getvalue()
+
+
+def _run_module(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "satwiretap.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_entry_point_reads_sys_argv():
+    result = _run_module("--help")
+    assert result.returncode == 0
+    for name in SUBCOMMANDS:
+        assert name in result.stdout
+    result = _run_module("bound", "--n", "1000", "--k-prime", "100")
+    assert result.returncode == 0 and result.stderr == ""
+    assert len(rows_of(result.stdout)) == 402

@@ -22,6 +22,7 @@ from satwiretap import sim
 from satwiretap.sim import (
     _Z95,
     EveQuantizer,
+    _design_effect,
     _half_width,
     exact_leakage,
     make_eve_quantizer,
@@ -148,6 +149,35 @@ class TestRunReliability:
         centre = (0.1 + _Z95**2 / 200.0) / (1.0 + _Z95**2 / 100.0)
         assert centre - _half_width(0.1, 100) == pytest.approx(0.05523, abs=1e-5)
         assert centre + _half_width(0.1, 100) == pytest.approx(0.17437, abs=1e-5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**9), st.data())
+    def test_single_bit_frames_have_no_design_effect(self, trials, data):
+        # k = 1: every e_f is 0 or 1, so sum e_f^2 = sum e_f and deff = 1 exactly
+        bit_errors = data.draw(st.integers(0, trials))
+        assert _design_effect(bit_errors, bit_errors, trials, 1) == 1.0
+
+    def test_single_bit_run_keeps_the_bitwise_interval(self):
+        params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=0.5)
+        report = run_reliability(
+            CodeParams(3, 1, 0), make_ecc("rep3", 1), params, 5000, 7, block_size=512
+        )
+        assert report.bit_errors > 0
+        assert report.ber_ci95 == _half_width(report.ber, 5000)
+
+    def test_clustered_errors_widen_the_ber_interval(self):
+        # 5 of 100 frames lose all 10 bits: deff = 10, so N_eff = 100
+        assert _design_effect(50, 5 * 10**2, 100, 10) == pytest.approx(10.0, rel=1e-15)
+        # 50 frames with one error each spread as evenly as independent bits allow
+        assert _design_effect(50, 50, 100, 10) == 1.0
+        # the hash unmixing turns one decoding error into several message-bit errors
+        params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=0.2)
+        report = run_reliability(
+            CodeParams(16, 8, 8), make_ecc("identity", 16), params, 4000, 3
+        )
+        assert report.bit_errors > 2 * report.frame_errors > 0
+        bitwise = _half_width(report.ber, 4000 * 8)
+        assert report.ber_ci95 > 1.5 * bitwise
 
     def test_uncoded_ber_matches_gaussian_tail(self):
         # k = 1, no sacrifice bits, identity ECC: ber = Q(e0 / sqrt(n0))
@@ -282,6 +312,27 @@ class TestEveQuantizer:
         plus = q.level_probs(+1.0, P_MAIN)
         minus = q.level_probs(-1.0, P_MAIN)
         assert np.allclose(plus[::-1], minus, atol=1e-14)
+
+    def test_far_tail_bins_keep_their_precision(self):
+        params = WiretapChannelParams(gamma_g=2.0, gamma_n=0.01)
+        q = make_eve_quantizer(params, levels=4)
+        plus = q.level_probs(+1.0, params)
+        z = [(e - params.eve_amplitude) / math.sqrt(params.eve_noise_var) for e in q.interior_edges]
+        # the three bins below the mean, from scipy's lower tail
+        lower = [norm.cdf(b) - norm.cdf(a) for a, b in zip([-np.inf] + z, z)]
+        np.testing.assert_allclose(plus[:3], lower, rtol=1e-12)
+        assert plus[0] == pytest.approx(5.45208e-225, rel=1e-5)
+        np.testing.assert_array_equal(q.level_probs(-1.0, params), plus[::-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 3.0), st.floats(0.01, 9.0), st.integers(2, 8))
+    def test_every_bin_mirrors_to_a_few_ulps(self, gg, gn, levels):
+        params = WiretapChannelParams(gamma_g=gg, gamma_n=gn)
+        q = make_eve_quantizer(params, levels=levels)
+        plus = q.level_probs(+1.0, params)[::-1]
+        minus = q.level_probs(-1.0, params)
+        assert ((plus == 0.0) == (minus == 0.0)).all()
+        assert (np.abs(plus - minus) <= 4.0 * np.spacing(np.maximum(plus, minus))).all()
 
     def test_levels_property(self):
         assert make_eve_quantizer(P_MAIN, levels=2).levels == 2
