@@ -5,11 +5,12 @@ The hash family is F = (I, T(S)) with T a k x k' binary Toeplitz matrix drawn
 from a seed S of k+k'-1 bits: hash(v) = v[:k] XOR T @ v[k:]. The encoder
 premixes the message with the sacrifice bits through [[I, T], [0, I]] (over
 F2, -T = T), so hash(premix(m, l)) = m for every seed; decoding is the hash of
-the ECC-decoded word. Every production product T @ x goes through
-toeplitz_apply_batch, an XOR of sliding seed windows; toeplitz_mul_naive is
-the dense-matmul reference that tests compare against. Desk-scale ECC
-stand-ins (identity, triple repetition, Hamming(7,4)) substitute for
-production LDPC/Polar codes.
+the ECC-decoded word. T @ x is an XOR of sliding seed windows:
+toeplitz_apply_batch on uint8 bits, and _toeplitz_words, one shift and mask
+per column on packed uint64 rows, when the seed fits a word (k+k'-1 <= 64).
+toeplitz_mul_naive is the dense-matmul reference tests compare both against.
+Desk-scale ECC stand-ins (identity, triple repetition, Hamming(7,4)) substitute
+for production LDPC/Polar codes; all decide hard first and decode bits.
 
 Bit conventions, fixed project-wide: index 0 is the first transmitted bit;
 BPSK maps bit 0 -> +1 and bit 1 -> -1; hex serialization packs 8 bits per
@@ -17,6 +18,8 @@ byte, most-significant bit first.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -96,7 +99,17 @@ def bits_to_bpsk(bits) -> np.ndarray:
 
 def hard_decision(y) -> np.ndarray:
     """Threshold channel reals at zero back to bits (y < 0 reads as bit 1)."""
-    return (np.asarray(y, dtype=float) < 0.0).astype(np.uint8)
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("channel reals y must be finite")
+    return (y < 0.0).astype(np.uint8)
+
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """value as an int; ValueError naming `name` unless an integer (not bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _check_seed(seed: np.ndarray, k: int, k_prime: int) -> np.ndarray:
@@ -165,6 +178,33 @@ def toeplitz_apply_batch(seeds: np.ndarray, xs: np.ndarray, k: int, k_prime: int
     return out
 
 
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(B, w) 0/1 rows with w <= 64 as B uint64 words, bit i of a row at word bit 63-i."""
+    padded = np.zeros((bits.shape[0], 64), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    # one flat packbits: per-row packbits(axis=1) is several times slower
+    return np.packbits(padded).view(">u8").astype(np.uint64)
+
+
+def _unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
+    """The first `width` bits of each uint64 word as a (B, width) 0/1 array."""
+    return np.unpackbits(words.astype(">u8").view(np.uint8)).reshape(-1, 64)[:, :width]
+
+
+def _toeplitz_words(seed_words: np.ndarray, x_words: np.ndarray, k: int, k_prime: int) -> np.ndarray:
+    """Row-wise T(seed) @ x over F2 on _pack_rows words, for k+k'-1 <= 64.
+
+    x_words' top k' bits are read; the k product bits come back at the top,
+    zeros below. Column j is the seed word shifted left by k'-1-j, selected
+    by x's bit j shifted into the sign and spread by an arithmetic shift.
+    """
+    out = np.zeros(np.broadcast_shapes(seed_words.shape, x_words.shape), dtype=np.uint64)
+    signed = x_words.view(np.int64)
+    for j in range(k_prime):
+        out ^= (seed_words << (k_prime - 1 - j)) & ((signed << j) >> 63).view(np.uint64)
+    return out & np.uint64((1 << 64) - (1 << (64 - k)))
+
+
 def hash_bits(v, seed, k: int, k_prime: int) -> np.ndarray:
     """Universal2 hash (I, T(seed)) applied to a k+k' bit word.
 
@@ -181,10 +221,11 @@ class EccScheme:
     """Linear block code interface used by the wiretap encoder.
 
     encode maps (..., message_length) bit arrays to (..., block_length)
-    codeword bits; decode maps (..., block_length) channel reals back to
-    message bits, raising DecodeFailure when no estimate can be produced.
-    Implementations must be injective homomorphisms with decode(encode(v)) = v
-    under noiseless transmission.
+    codeword bits. Every scheme decides hard first: decode_bits maps
+    (..., block_length) hard-decision bits back to message bits, raising
+    DecodeFailure when no estimate can be produced, and decode(y) on channel
+    reals is decode_bits(hard_decision(y)). Implementations must be injective
+    homomorphisms with decode_bits(encode(v)) = v.
     """
 
     name: str
@@ -194,8 +235,19 @@ class EccScheme:
     def encode(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def decode(self, y: np.ndarray) -> np.ndarray:
+    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def decode(self, y: np.ndarray) -> np.ndarray:
+        """Decode channel reals: decode_bits(hard_decision(y)); y must be finite."""
+        return self.decode_bits(hard_decision(y))
+
+
+def _last_axis(bits, length: int, what: str) -> np.ndarray:
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim == 0 or bits.shape[-1] != length:
+        raise ValueError(f"{what} length mismatch")
+    return bits
 
 
 class IdentityCode(EccScheme):
@@ -204,22 +256,14 @@ class IdentityCode(EccScheme):
     name = "identity"
 
     def __init__(self, message_length: int):
-        if message_length < 1:
-            raise ValueError("message_length must be >= 1")
-        self.message_length = message_length
-        self.block_length = message_length
+        self.message_length = _check_count("message_length", message_length, 1)
+        self.block_length = self.message_length
 
     def encode(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.uint8)
-        if v.shape[-1] != self.message_length:
-            raise ValueError("message length mismatch")
-        return v.copy()
+        return _last_axis(v, self.message_length, "message").copy()
 
-    def decode(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] != self.block_length:
-            raise ValueError("block length mismatch")
-        return hard_decision(y)
+    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
+        return _last_axis(bits, self.block_length, "block").copy()
 
 
 class Repetition3Code(EccScheme):
@@ -228,24 +272,16 @@ class Repetition3Code(EccScheme):
     name = "rep3"
 
     def __init__(self, message_length: int):
-        if message_length < 1:
-            raise ValueError("message_length must be >= 1")
-        self.message_length = message_length
-        self.block_length = 3 * message_length
+        self.message_length = _check_count("message_length", message_length, 1)
+        self.block_length = 3 * self.message_length
 
     def encode(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.uint8)
-        if v.shape[-1] != self.message_length:
-            raise ValueError("message length mismatch")
-        return np.repeat(v, 3, axis=-1)
+        return np.repeat(_last_axis(v, self.message_length, "message"), 3, axis=-1)
 
-    def decode(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] != self.block_length:
-            raise ValueError("block length mismatch")
-        bits = hard_decision(y)
-        triples = bits.reshape(*bits.shape[:-1], self.message_length, 3)
-        return (triples.sum(axis=-1) >= 2).astype(np.uint8)
+    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
+        bits = _last_axis(bits, self.block_length, "block")
+        a, b, c = bits[..., 0::3], bits[..., 1::3], bits[..., 2::3]
+        return (a & b) | (c & (a | b))
 
 
 class Hamming74Code(EccScheme):
@@ -260,14 +296,10 @@ class Hamming74Code(EccScheme):
     message_length = 4
     block_length = 7
 
-    # positions (0-indexed) covered by each parity check
-    _CHECKS = (np.array([0, 2, 4, 6]), np.array([1, 2, 5, 6]), np.array([3, 4, 5, 6]))
     _DATA_POS = np.array([2, 4, 5, 6])
 
     def encode(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.uint8)
-        if v.shape[-1] != 4:
-            raise ValueError("message length mismatch")
+        v = _last_axis(v, 4, "message")
         c = np.zeros(v.shape[:-1] + (7,), dtype=np.uint8)
         c[..., self._DATA_POS] = v
         c[..., 0] = v[..., 0] ^ v[..., 1] ^ v[..., 3]
@@ -275,20 +307,15 @@ class Hamming74Code(EccScheme):
         c[..., 3] = v[..., 1] ^ v[..., 2] ^ v[..., 3]
         return c
 
-    def decode(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] != 7:
-            raise ValueError("block length mismatch")
-        lead = y.shape[:-1]
-        bits = hard_decision(y).reshape(-1, 7)
-        syndrome = np.zeros(bits.shape[0], dtype=np.int64)
-        for weight, check in enumerate(self._CHECKS):
-            parity = (bits[:, check].sum(axis=-1) & 1).astype(np.int64)
-            syndrome += parity << weight
-        rows = np.nonzero(syndrome)[0]
-        if rows.size:
-            bits[rows, syndrome[rows] - 1] ^= 1
-        return bits[:, self._DATA_POS].reshape(*lead, 4)
+    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
+        b = _last_axis(bits, 7, "block")
+        # check w covers the 1-indexed positions with bit w set
+        syndrome = (
+            (b[..., 0] ^ b[..., 2] ^ b[..., 4] ^ b[..., 6])
+            | (b[..., 1] ^ b[..., 2] ^ b[..., 5] ^ b[..., 6]) << 1
+            | (b[..., 3] ^ b[..., 4] ^ b[..., 5] ^ b[..., 6]) << 2
+        )
+        return b[..., self._DATA_POS] ^ (syndrome[..., None] == self._DATA_POS + 1)
 
 
 ECC_NAMES = ("identity", "rep3", "hamming74")
@@ -296,6 +323,7 @@ ECC_NAMES = ("identity", "rep3", "hamming74")
 
 def make_ecc(name: str, message_length: int) -> EccScheme:
     """Instantiate a registered ECC scheme for a k+k' bit message."""
+    message_length = _check_count("message_length", message_length, 1)
     if name == "identity":
         return IdentityCode(message_length)
     if name == "rep3":

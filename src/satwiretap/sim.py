@@ -30,9 +30,12 @@ from .channel import WiretapChannelParams, ndtr
 from .code import (
     DecodeFailure,
     EccScheme,
+    _check_count,
     _enumerate_bits,
+    _pack_rows,
+    _toeplitz_words,
+    _unpack_rows,
     bits_from_ints,
-    bits_to_bpsk,
     toeplitz_apply_batch,
 )
 from .leakage import CodeParams, min_leakage_bound
@@ -124,6 +127,20 @@ def _design_effect(bit_errors: int, squares: int, trials: int, k: int) -> float:
     return max(1.0, ratio)
 
 
+def _hard_decisions(noise: np.ndarray, amplitude: float, codeword: np.ndarray) -> np.ndarray:
+    """hard_decision(amplitude * bits_to_bpsk(codeword) + noise), without the sum.
+
+    For amplitude a >= 0 the symbol is +a for bit 0 and -a for bit 1, both
+    exact, and rounding to nearest keeps the sign of the exact sum a*x + w
+    (a zero sum reads 0 either way). So the decision is 1 exactly when
+    w < -a, or when the bit is 1 and w < a.
+    """
+    received = (noise < amplitude).view(np.uint8)
+    received &= codeword
+    received |= (noise < -amplitude).view(np.uint8)
+    return received
+
+
 def _reliability_block(
     block_index: int,
     count: int,
@@ -133,7 +150,11 @@ def _reliability_block(
     master_seed: int,
     hash_seed: Optional[np.ndarray],
 ) -> Tuple[int, int, int, int]:
-    """(bit errors, frame errors, decode failures, sum of squared per-frame bit errors)."""
+    """(bit errors, frame errors, decode failures, sum of squared per-frame bit errors).
+
+    Runs on decision bits; the hash and the error count run on packed uint64
+    words when the hash input fits one (k+k' <= 64).
+    """
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(block_index,)))
     k, kp, n = code.k, code.k_prime, code.n
     seed_len = k + kp - 1
@@ -145,19 +166,27 @@ def _reliability_block(
     else:
         seeds = np.broadcast_to(hash_seed, (count, seed_len))
 
-    mixed = m ^ toeplitz_apply_batch(seeds, l, k, kp)
-    x = bits_to_bpsk(ecc.encode(np.concatenate([mixed, l], axis=1)))
-    noise_scale = math.sqrt(params.bob_noise_var)
-    y = params.bob_amplitude * x + noise_scale * rng.standard_normal((count, n))
+    packed = k + kp <= 64
+    if packed:
+        words = _pack_rows(np.concatenate([m, l], axis=1))
+        seed_words = _pack_rows(seeds)
+        mixed = _unpack_rows(words ^ _toeplitz_words(seed_words, words << k, k, kp), k + kp)
+    else:
+        mixed = np.concatenate([m ^ toeplitz_apply_batch(seeds, l, k, kp), l], axis=1)
+    codeword = ecc.encode(mixed)
+
+    noise = rng.standard_normal((count, n))
+    noise *= math.sqrt(params.bob_noise_var)
+    received = _hard_decisions(noise, params.bob_amplitude, codeword)
 
     try:
-        v_hat = ecc.decode(y)
+        v_hat = ecc.decode_bits(received)
     except DecodeFailure:
         # scheme cannot decode whole batches it rejects; fall back per trial
         bit_errors = frame_errors = failures = squares = 0
         for t in range(count):
             try:
-                v_t = ecc.decode(y[t])
+                v_t = ecc.decode_bits(received[t])
             except DecodeFailure:
                 failures += 1
                 frame_errors += 1
@@ -171,8 +200,13 @@ def _reliability_block(
             squares += diff * diff
         return bit_errors, frame_errors, failures, squares
 
-    m_hat = v_hat[:, :k] ^ toeplitz_apply_batch(seeds, v_hat[:, k:], k, kp)
-    per_frame = (m_hat ^ m).sum(axis=1, dtype=np.int64)
+    if packed:
+        v_words = _pack_rows(v_hat)
+        m_hat = v_words ^ _toeplitz_words(seed_words, v_words << k, k, kp)
+        per_frame = np.bitwise_count((m_hat ^ words) >> (64 - k)).astype(np.int64)
+    else:
+        m_hat = v_hat[:, :k] ^ toeplitz_apply_batch(seeds, v_hat[:, k:], k, kp)
+        per_frame = (m_hat ^ m).sum(axis=1, dtype=np.int64)
     return (
         int(per_frame.sum()),
         int(np.count_nonzero(per_frame)),
@@ -201,12 +235,12 @@ def run_reliability(
     depend only on (master_seed, block_index), so the report is identical for
     every `workers` value.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    trials = _check_count("trials", trials, 1)
+    master_seed = _check_count("master_seed", master_seed, 0)
+    workers = _check_count("workers", workers, 1)
+    block_size = _check_count("block_size", block_size, 1)
+    if code.k < 1:
+        raise ValueError(f"k must be >= 1 to count message-bit errors, got {code.k}")
     if ecc.message_length != code.k + code.k_prime:
         raise ValueError(
             f"ECC message length {ecc.message_length} != k+k' = {code.k + code.k_prime}"
@@ -267,6 +301,8 @@ class EveQuantizer:
 
     def __post_init__(self):
         edges = tuple(float(e) for e in self.interior_edges)
+        if not all(math.isfinite(e) for e in edges):
+            raise ValueError(f"interior_edges must be finite, got {edges}")
         if len(edges) < 1:
             raise ValueError("need at least one edge (two levels)")
         if any(b <= a for a, b in zip(edges, edges[1:])):
@@ -303,8 +339,7 @@ class EveQuantizer:
 
 def make_eve_quantizer(params: WiretapChannelParams, levels: int = 8) -> EveQuantizer:
     """Uniform `levels`-bin quantizer over +-(eve_amplitude + 4 eve sigma)."""
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
+    levels = _check_count("levels", levels, 2)
     span = params.eve_amplitude + 4.0 * math.sqrt(params.eve_noise_var)
     edges = np.linspace(-span, span, levels + 1)[1:-1]
     # linspace is symmetric only to rounding; mirror it exactly so the rows
@@ -484,12 +519,12 @@ def mc_mutual_info(
     Sample average of log2(W(y|x)/Wbar(y)) over uniform inputs; an independent
     cross-check for the quadrature-based capacity routine.
     """
-    if samples < 10_000:
-        raise ValueError("samples must be >= 10000")
-    if noise_var <= 0.0:
-        raise ValueError("noise_var must be positive")
-    if amplitude < 0.0:
-        raise ValueError("amplitude must be >= 0")
+    samples = _check_count("samples", samples, 10_000)
+    master_seed = _check_count("master_seed", master_seed, 0)
+    if not (math.isfinite(noise_var) and noise_var > 0.0):
+        raise ValueError(f"noise_var must be finite and positive, got {noise_var}")
+    if not (math.isfinite(amplitude) and amplitude >= 0.0):
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
     rng = np.random.default_rng(master_seed)
     chunk = 1 << 20
     total = 0.0

@@ -210,6 +210,21 @@ class TestSimulate:
         assert row["trials"] == "3000"
         assert 0.0 <= float(row["ber"]) <= float(row["fer"]) <= 1.0
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--master-seed", "-1", "master_seed"),
+            ("--threads", "0", "workers"),
+            ("--trials", "0", "trials"),
+            ("--block-size", "-5", "block_size"),
+        ],
+    )
+    def test_bad_input_exits_one_naming_the_field(self, capsys, flag, value, field):
+        rc, out, err = run_cli(capsys, *self.ARGS, flag, value)
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
 
 class TestOracle:
     def test_bound_holds_on_default_instance(self, capsys):

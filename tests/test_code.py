@@ -5,6 +5,11 @@ from hypothesis import strategies as st
 
 from satwiretap.code import (
     DecodeFailure,
+    IdentityCode,
+    Repetition3Code,
+    _pack_rows,
+    _toeplitz_words,
+    _unpack_rows,
     bits_to_bpsk,
     bits_to_hex,
     coset_preimage_size,
@@ -65,6 +70,11 @@ class TestSerialization:
 
     def test_hard_decision_threshold(self):
         assert np.array_equal(hard_decision([1e-9, -1e-9, 0.0]), [0, 1, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hard_decision_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            hard_decision([0.5, bad])
 
 
 class TestToeplitz:
@@ -141,6 +151,53 @@ class TestFastMultiply:
             for b in range(batch):
                 T = toeplitz_from_seed(seeds[b], k, kp)
                 assert np.array_equal(out[b], toeplitz_mul_naive(T, xs[b]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_packed_words_match_batch_and_naive(self, data):
+        # every shape whose seed fits one word, k' = 0 included
+        k = data.draw(st.integers(1, 64))
+        kp = data.draw(st.integers(0, 65 - k))
+        batch = data.draw(st.integers(1, 6))
+        rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        seeds = rows.integers(0, 2, (batch, k + kp - 1), dtype=np.uint8)
+        xs = rows.integers(0, 2, (batch, kp), dtype=np.uint8)
+        words = _toeplitz_words(_pack_rows(seeds), _pack_rows(xs), k, kp)
+        assert words.dtype == np.uint64 and words.shape == (batch,)
+        # the product sits in the top k bits, zeros below
+        assert np.array_equal(_unpack_rows(words, 64)[:, k:], np.zeros((batch, 64 - k)))
+        out = _unpack_rows(words, k)
+        assert np.array_equal(out, toeplitz_apply_batch(seeds, xs, k, kp))
+        for b in range(batch):
+            T = toeplitz_from_seed(seeds[b], k, kp)
+            assert np.array_equal(out[b], toeplitz_mul_naive(T, xs[b]))
+        # one seed word broadcast over the batch, as a pinned hash seed is
+        shared = _toeplitz_words(_pack_rows(seeds[:1]), _pack_rows(xs), k, kp)
+        assert np.array_equal(
+            _unpack_rows(shared, k),
+            toeplitz_apply_batch(np.broadcast_to(seeds[0], seeds.shape), xs, k, kp),
+        )
+
+    def test_packed_words_at_the_word_edges(self):
+        rng = np.random.default_rng(35)
+        for k, kp in [(64, 1), (64, 0), (1, 64), (1, 0), (33, 32), (2, 63)]:
+            seeds = rng.integers(0, 2, (16, k + kp - 1), dtype=np.uint8)
+            seeds[0] = 1
+            xs = rng.integers(0, 2, (16, kp), dtype=np.uint8)
+            xs[0] = 1
+            words = _toeplitz_words(_pack_rows(seeds), _pack_rows(xs), k, kp)
+            assert np.array_equal(_unpack_rows(words, 64)[:, k:], np.zeros((16, 64 - k)))
+            assert np.array_equal(_unpack_rows(words, k), toeplitz_apply_batch(seeds, xs, k, kp))
+
+    def test_pack_rows_round_trip(self):
+        rng = np.random.default_rng(34)
+        for width in (0, 1, 7, 8, 9, 63, 64):
+            bits = rng.integers(0, 2, (5, width), dtype=np.uint8)
+            words = _pack_rows(bits)
+            assert words.dtype == np.uint64
+            assert np.array_equal(_unpack_rows(words, width), bits)
+        # bit 0 of a row is the word's top bit
+        assert _pack_rows(_bits("1")[None])[0] == np.uint64(1 << 63)
 
     def test_zero_input(self):
         seed = np.ones(15, np.uint8)
@@ -222,9 +279,64 @@ class TestEccSchemes:
         assert cw.shape == (3, 6)
         assert np.array_equal(ecc.decode(bits_to_bpsk(cw)), batch)
 
+    def test_hamming_decodes_every_word_to_its_nearest_codeword(self):
+        # the (7,4) code is perfect: each of the 128 words lies within
+        # distance 1 of exactly one codeword
+        ecc = make_ecc("hamming74", 4)
+        messages = np.array(list(_enumerate(4)))
+        codewords = ecc.encode(messages)
+        words = np.array(list(_enumerate(7)))
+        distance = (words[:, None, :] ^ codewords[None, :, :]).sum(axis=-1)
+        assert ((distance <= 1).sum(axis=1) == 1).all()
+        nearest = messages[distance.argmin(axis=1)]
+        assert np.array_equal(ecc.decode_bits(words), nearest)
+
+    def test_rep3_majority_every_triple(self):
+        ecc = make_ecc("rep3", 1)
+        for triple in _enumerate(3):
+            assert ecc.decode_bits(triple).tolist() == [int(triple.sum() >= 2)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["identity", "rep3", "hamming74"]), st.data())
+    def test_decode_is_decode_bits_of_hard_decision(self, name, data):
+        ecc = make_ecc(name, 4 if name == "hamming74" else data.draw(st.integers(1, 12)))
+        batch = data.draw(st.integers(1, 4))
+        reals = st.one_of(
+            st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        y = np.array(
+            data.draw(st.lists(reals, min_size=batch * ecc.block_length, max_size=batch * ecc.block_length))
+        ).reshape(batch, ecc.block_length)
+        assert np.array_equal(ecc.decode(y), ecc.decode_bits(hard_decision(y)))
+        assert np.array_equal(ecc.decode(y[0]), ecc.decode_bits(hard_decision(y[0])))
+
+    @pytest.mark.parametrize("name", ["identity", "rep3", "hamming74"])
+    def test_decode_bits_checks_block_length(self, name):
+        ecc = make_ecc(name, 4)
+        with pytest.raises(ValueError, match="block length"):
+            ecc.decode_bits(np.zeros(ecc.block_length + 1, np.uint8))
+        with pytest.raises(ValueError, match="finite"):
+            ecc.decode(np.full(ecc.block_length, np.nan))
+
+    @pytest.mark.parametrize("length", [2.5, 2.0, True, "3", None])
+    def test_message_length_must_be_an_integer(self, length):
+        for build in (IdentityCode, Repetition3Code):
+            with pytest.raises(ValueError, match="message_length"):
+                build(length)
+        for name in ("identity", "rep3", "hamming74"):
+            with pytest.raises(ValueError, match="message_length"):
+                make_ecc(name, length)
+
+    def test_message_length_accepts_numpy_integers(self):
+        assert make_ecc("rep3", np.int64(3)).block_length == 9
+        assert type(make_ecc("identity", np.int32(5)).message_length) is int
+
     def test_hamming_requires_four_bits(self):
         with pytest.raises(ValueError):
             make_ecc("hamming74", 5)
+        with pytest.raises(ValueError, match="message_length"):
+            make_ecc("hamming74", 4.0)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):

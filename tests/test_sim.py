@@ -12,7 +12,9 @@ from satwiretap.channel import WiretapChannelParams
 from satwiretap.code import (
     DecodeFailure,
     IdentityCode,
+    bits_to_bpsk,
     bits_to_hex,
+    hard_decision,
     make_ecc,
     toeplitz_from_seed,
     toeplitz_mul_naive,
@@ -22,7 +24,9 @@ from satwiretap import sim
 from satwiretap.sim import (
     _Z95,
     EveQuantizer,
+    ReliabilityReport,
     _design_effect,
+    _hard_decisions,
     _half_width,
     exact_leakage,
     make_eve_quantizer,
@@ -110,14 +114,14 @@ class _FlakyIdentity(IdentityCode):
         self.bad_frames = set(bad_frames)
         self.frame = 0
 
-    def decode(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.ndim > 1:
+    def decode_bits(self, bits):
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.ndim > 1:
             raise DecodeFailure("batch rejected")
         frame, self.frame = self.frame, self.frame + 1
         if frame in self.bad_frames:
             raise DecodeFailure(f"frame {frame} rejected")
-        return super().decode(y)
+        return super().decode_bits(bits)
 
 
 class TestRunReliability:
@@ -297,6 +301,116 @@ class TestRunReliability:
             with pytest.raises(ValueError, match="block_size"):
                 run_reliability(CodeParams(2, 1, 1), ecc, P_MAIN, 10, 1, block_size=block_size)
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("trials", dict(trials=10.5)),
+            ("trials", dict(trials=float("nan"))),
+            ("trials", dict(trials="10")),
+            ("block_size", dict(block_size=2.5)),
+            ("block_size", dict(block_size=float("nan"))),
+            ("workers", dict(workers=1.5)),
+            ("workers", dict(workers=True)),
+            ("master_seed", dict(master_seed=-1)),
+            ("master_seed", dict(master_seed=1.0)),
+        ],
+    )
+    def test_bad_counts_name_their_field(self, field, overrides):
+        args = dict(trials=10, master_seed=1)
+        args.update(overrides)
+        with pytest.raises(ValueError, match=field):
+            run_reliability(CodeParams(2, 1, 1), make_ecc("identity", 2), P_MAIN, **args)
+
+    def test_no_message_bits_rejected(self):
+        # k = 0 leaves no bit to count errors on
+        with pytest.raises(ValueError, match="k must be"):
+            run_reliability(CodeParams(2, 0, 2), make_ecc("identity", 2), P_MAIN, 10, 1)
+
+
+def _bits_of(text):
+    return np.array([int(c) for c in text], dtype=np.uint8)
+
+
+class TestBitDomainIdentity:
+    """Exact reports of the float-domain loop, recorded before the loop moved
+    to decision bits and packed words; every count and rate must still match.
+
+    Each case: (ecc, n, k, k', e0, trials, master_seed, run_reliability
+    keywords, (bit_errors, frame_errors, ber, fer, ber_ci95, fer_ci95)), all at
+    gamma_g = 0.3, gamma_n = 2, n0 = 1. They cover every ECC, the packed
+    (k+k' <= 64, incl. exactly 64 with k = 64 and k = 1) and uint8 (65, 66,
+    100) Toeplitz paths, k' = 0, k = 1, a pinned hash seed, two workers and
+    short last blocks.
+    """
+
+    CASES = [
+        ("identity", 64, 48, 16, 2.5, 3000, 11, dict(block_size=1024),
+         (7665, 949, 0.05322916666666667, 0.31633333333333336, 0.00532340290269136, 0.016632118878892422)),
+        ("rep3", 30, 6, 4, 1.2, 4000, 12, {},
+         (2404, 1242, 0.10016666666666667, 0.3105, 0.005817556993979906, 0.014333179359270394)),
+        ("hamming74", 7, 2, 2, 1.5, 5000, 13, {},
+         (373, 305, 0.0373, 0.061, 0.004304795977000727, 0.006639787870789977)),
+        ("rep3", 300, 80, 20, 2.0, 500, 14, dict(block_size=128),
+         (641, 70, 0.016025, 0.14, 0.007511503006700115, 0.030422102378295235)),
+        ("identity", 8, 8, 0, 2.0, 3000, 15, {},
+         (544, 497, 0.02266666666666667, 0.16566666666666666, 0.001901542487025094, 0.013302136779783822)),
+        ("identity", 5, 1, 4, 1.5, 3000, 16, {},
+         (530, 530, 0.17666666666666667, 0.17666666666666667, 0.013645022149126626, 0.013645022149126626)),
+        ("rep3", 3, 1, 0, 0.8, 2000, 17, {},
+         (221, 221, 0.1105, 0.1105, 0.013747132204327502, 0.013747132204327502)),
+        ("identity", 65, 40, 25, 2.5, 2000, 18, dict(block_size=700),
+         (6026, 651, 0.075325, 0.3255, 0.007653490997464006, 0.02051826401394648)),
+        ("identity", 66, 40, 26, 2.5, 2000, 19, dict(block_size=700),
+         (6341, 667, 0.0792625, 0.3335, 0.00789900434332941, 0.020645068116563556)),
+        ("identity", 20, 12, 8, 1.8, 3000, 20, dict(hash_seed="1011001110001011101"),
+         (6063, 1604, 0.16841666666666666, 0.5346666666666666, 0.008071867279956551, 0.017837523785677295)),
+        ("identity", 64, 48, 16, 2.5, 5000, 21, dict(block_size=1000, workers=2),
+         (11834, 1618, 0.049308333333333336, 0.3236, 0.0039001530426332957, 0.012963613494503213)),
+        ("identity", 64, 64, 0, 3.0, 3000, 1, {},
+         (231, 225, 0.001203125, 0.075, 0.00015537628559785324, 0.009434804407590326)),
+        ("identity", 64, 1, 63, 3.0, 3000, 1, {},
+         (95, 95, 0.03166666666666667, 0.03166666666666667, 0.006290722482593809, 0.006290722482593809)),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}_{c[1]}_{c[2]}_{c[3]}_s{c[6]}")
+    def test_report_is_bit_identical(self, case):
+        ecc, n, k, kp, e0, trials, seed, keywords, counts = case
+        keywords = dict(keywords)
+        if "hash_seed" in keywords:
+            keywords["hash_seed"] = _bits_of(keywords["hash_seed"])
+        params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, e0=e0)
+        report = run_reliability(
+            CodeParams(n, k, kp), make_ecc(ecc, k + kp), params, trials, seed, **keywords
+        )
+        bit_errors, frame_errors, ber, fer, ber_ci95, fer_ci95 = counts
+        assert report == ReliabilityReport(
+            trials, k, bit_errors, frame_errors, 0, ber, fer, ber_ci95, fer_ci95
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+        st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.one_of(
+                    st.sampled_from(["+a", "-a", "0", "-0"]),
+                    st.floats(-20.0, 20.0),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_threshold_decisions_equal_hard_decision_of_the_sum(self, amplitude, cells):
+        named = {"+a": amplitude, "-a": -amplitude, "0": 0.0, "-0": -0.0}
+        codeword = np.array([c for c, _ in cells], dtype=np.uint8)
+        noise = np.array([named.get(w, w) for _, w in cells], dtype=float)
+        expected = hard_decision(amplitude * bits_to_bpsk(codeword) + noise)
+        received = _hard_decisions(noise, amplitude, codeword)
+        assert received.dtype == np.uint8
+        assert np.array_equal(received, expected)
+
 
 class TestEveQuantizer:
     def test_rows_are_distributions(self):
@@ -347,6 +461,11 @@ class TestEveQuantizer:
             EveQuantizer((0.0, 0.0))
         with pytest.raises(ValueError):
             EveQuantizer((1.0, -1.0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                EveQuantizer((-1.0, bad))
+        with pytest.raises(ValueError, match="levels"):
+            make_eve_quantizer(P_MAIN, levels=2.5)
 
 
 class TestExactLeakage:
@@ -476,3 +595,12 @@ class TestMcMutualInfo:
             mc_mutual_info(1.0, 0.0, 10_000, 1)
         with pytest.raises(ValueError):
             mc_mutual_info(-1.0, 1.0, 10_000, 1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="amplitude"):
+                mc_mutual_info(bad, 1.0, 10_000, 1)
+            with pytest.raises(ValueError, match="noise_var"):
+                mc_mutual_info(1.0, bad, 10_000, 1)
+        with pytest.raises(ValueError, match="samples"):
+            mc_mutual_info(1.0, 1.0, 10_000.5, 1)
+        with pytest.raises(ValueError, match="master_seed"):
+            mc_mutual_info(1.0, 1.0, 10_000, -1)
