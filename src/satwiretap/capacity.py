@@ -65,10 +65,10 @@ def mi_biawgn(amplitude: float, noise_var: float) -> float:
     float
         Mutual information in bits per channel use, in [0, 1].
     """
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be > 0, got {noise_var}")
-    if amplitude < 0:
-        raise ValueError(f"amplitude must be >= 0, got {amplitude}")
+    if not (math.isfinite(noise_var) and noise_var > 0):
+        raise ValueError(f"noise_var must be finite and > 0, got {noise_var}")
+    if not (math.isfinite(amplitude) and amplitude >= 0):
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
     r = amplitude / math.sqrt(noise_var)
     if r == 0.0:
         return 0.0
@@ -143,8 +143,8 @@ def capacity_curves(snr_grid: Sequence[float], params: WiretapChannelParams) -> 
         raise ValueError("snr_grid must be non-empty")
     rows = []
     for snr in snr_grid:
-        if snr <= 0:
-            raise ValueError(f"SNR values must be > 0, got {snr}")
+        if not (math.isfinite(snr) and snr > 0):
+            raise ValueError(f"SNR values must be finite and > 0, got {snr}")
         root = math.sqrt(snr)
         cb = mi_biawgn(root, 1.0)
         ce = mi_biawgn(params.gamma_g * root, params.gamma_n)

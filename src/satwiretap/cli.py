@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -35,6 +36,8 @@ def _linspace_spec(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError("expected LO:HI:COUNT")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"LO and HI must be finite, got {text!r}")
     if count < 1:
         raise ValueError("COUNT must be >= 1")
     return np.linspace(lo, hi, count)

@@ -5,10 +5,11 @@ The hash family is F = (I, T(S)) with T a k x k' binary Toeplitz matrix drawn
 from a seed S of k+k'-1 bits: hash(v) = v[:k] XOR T @ v[k:]. The encoder
 premixes the message with the sacrifice bits through [[I, T], [0, I]] (over
 F2, -T = T), so hash(premix(m, l)) = m for every seed; decoding is the hash of
-the ECC-decoded word. T @ x is an XOR of sliding seed windows:
-toeplitz_apply_batch on uint8 bits, and _toeplitz_words, one shift and mask
-per column on packed uint64 rows, when the seed fits a word (k+k'-1 <= 64).
-toeplitz_mul_naive is the dense-matmul reference tests compare both against.
+the ECC-decoded word. T @ x is an XOR of sliding seed windows, computed at
+every k and k' by one kernel on rows packed into uint64 words
+(_toeplitz_words): each window is a word-aligned slice of one of at most 64
+bit-shifts of the seed. toeplitz_apply_batch packs bits, runs it and unpacks;
+toeplitz_mul_naive is the dense-matmul reference tests compare it against.
 Desk-scale ECC stand-ins (identity, triple repetition, Hamming(7,4)) substitute
 for production LDPC/Polar codes; all decide hard first and decode bits.
 
@@ -107,8 +108,10 @@ def hard_decision(y) -> np.ndarray:
 
 def _check_count(name: str, value, minimum: int) -> int:
     """value as an int; ValueError naming `name` unless an integer (not bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -164,45 +167,74 @@ def toeplitz_mul_fast(seed, x, k: int, k_prime: int) -> np.ndarray:
 def toeplitz_apply_batch(seeds: np.ndarray, xs: np.ndarray, k: int, k_prime: int) -> np.ndarray:
     """Row-wise T(seeds[b]) @ xs[b] over F2 for a batch of seeds and inputs.
 
-    seeds is (B, k+k'-1) and xs is (B, k'), both 0/1. Column j of T(seed) is
-    the contiguous window seed[k'-1-j : k'-1-j+k], so the product is the XOR
-    of the windows selected by the set bits of each input row. Read-only and
-    broadcast seeds are accepted.
+    seeds is (B, k+k'-1) and xs is (B, k'), both 0/1; one seed row is
+    broadcast over every input row. Column j of T(seed) is the contiguous
+    window seed[k'-1-j : k'-1-j+k], so the product is the XOR of the windows
+    selected by the set bits of each input row, computed on packed words by
+    _toeplitz_words. Read-only and broadcast seeds are accepted.
     """
     seeds = np.asarray(seeds, dtype=np.uint8)
     xs = np.asarray(xs, dtype=np.uint8)
-    out = np.zeros((xs.shape[0], k), dtype=np.uint8)
-    for j in np.flatnonzero(xs.any(axis=0)):
-        start = k_prime - 1 - j
-        out ^= seeds[:, start : start + k] & xs[:, j, None]
-    return out
+    return _unpack_rows(_toeplitz_words(_pack_rows(seeds), _pack_rows(xs), k, k_prime), k)
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """(B, w) 0/1 rows with w <= 64 as B uint64 words, bit i of a row at word bit 63-i."""
-    padded = np.zeros((bits.shape[0], 64), dtype=np.uint8)
-    padded[:, : bits.shape[1]] = bits
+    """(B, w) 0/1 rows as a (ceil(w/64), B) uint64 array; column b holds row b.
+
+    Bit i of a row is bit 63 - i % 64 of its word i // 64, so each word reads
+    the row MSB-first and the last word is zero-padded at the bottom.
+    """
+    rows, width = bits.shape
+    words = -(-width // 64)
+    padded = np.zeros((rows, 64 * words), dtype=np.uint8)
+    padded[:, :width] = bits
     # one flat packbits: per-row packbits(axis=1) is several times slower
-    return np.packbits(padded).view(">u8").astype(np.uint64)
+    packed = np.packbits(padded).view(">u8").reshape(rows, words)
+    return np.ascontiguousarray(packed.T, dtype=np.uint64)
 
 
 def _unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
-    """The first `width` bits of each uint64 word as a (B, width) 0/1 array."""
-    return np.unpackbits(words.astype(">u8").view(np.uint8)).reshape(-1, 64)[:, :width]
+    """The first `width` bits of each _pack_rows row as a (B, width) 0/1 array."""
+    big_endian = np.ascontiguousarray(words.T, dtype=">u8")
+    return np.unpackbits(big_endian.view(np.uint8)).reshape(words.shape[1], -1)[:, :width]
 
 
-def _toeplitz_words(seed_words: np.ndarray, x_words: np.ndarray, k: int, k_prime: int) -> np.ndarray:
-    """Row-wise T(seed) @ x over F2 on _pack_rows words, for k+k'-1 <= 64.
+def _toeplitz_words(
+    seed_words: np.ndarray, x_words: np.ndarray, k: int, k_prime: int, offset: int = 0
+) -> np.ndarray:
+    """Row-wise T(seed) @ x over F2 on _pack_rows words, at any k and k'.
 
-    x_words' top k' bits are read; the k product bits come back at the top,
-    zeros below. Column j is the seed word shifted left by k'-1-j, selected
-    by x's bit j shifted into the sign and spread by an arithmetic shift.
+    seed_words holds k+k'-1 bit seeds and x is read from bits offset ..
+    offset+k'-1 of x_words' rows; either may have one row, broadcast over
+    the other's. The k product bits come back as ceil(k/64) words per row,
+    zeros below bit k. Column j's window starts at seed bit k'-1-j = 64q + r,
+    so it is words q.. of the seed shifted by r: each of the at most 64
+    shifts is built once. x's bit j, shifted into the sign and spread by an
+    arithmetic shift, selects the window. Columns that are zero in every row
+    are skipped.
     """
-    out = np.zeros(np.broadcast_shapes(seed_words.shape, x_words.shape), dtype=np.uint64)
+    rows = np.broadcast_shapes(seed_words.shape[1:], x_words.shape[1:])
+    out_words = -(-k // 64)
+    out = np.zeros((out_words,) + rows, dtype=np.uint64)
     signed = x_words.view(np.int64)
-    for j in range(k_prime):
-        out ^= (seed_words << (k_prime - 1 - j)) & ((signed << j) >> 63).view(np.uint64)
-    return out & np.uint64((1 << 64) - (1 << (64 - k)))
+    anywhere = np.bitwise_or.reduce(x_words, axis=1)[:, None]
+    live = _unpack_rows(anywhere, offset + k_prime)[0, offset:]
+    for shift in range(min(64, k_prime)):
+        # column k'-1-shift-64q for q = 0, 1, ...: its window starts at word q
+        starts = np.flatnonzero(live[k_prime - 1 - shift :: -64])
+        if starts.size == 0:
+            continue
+        shifted = seed_words
+        if shift:
+            # every seed row moved `shift` bits toward bit 0, across words
+            shifted = seed_words << shift
+            shifted[:-1] |= seed_words[1:] >> (64 - shift)
+        for q in starts.tolist():
+            bit = offset + k_prime - 1 - shift - 64 * q
+            select = (signed[bit // 64] << (bit % 64)) >> 63
+            out ^= shifted[q : q + out_words] & select.view(np.uint64)
+    out[-1] &= ~np.uint64(0) << (-k % 64)  # zero the window bits past bit k
+    return out
 
 
 def hash_bits(v, seed, k: int, k_prime: int) -> np.ndarray:

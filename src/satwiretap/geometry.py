@@ -19,7 +19,6 @@ __all__ = [
     "alpha",
     "gamma_g",
     "eve_stronger",
-    "bob_link_amplitude",
     "protected_region_map",
 ]
 
@@ -30,9 +29,8 @@ class GeometryConfig:
 
     Distances in km, angles in degrees. `r` is Eve's propagation power-decay
     exponent (2 = free space), `a` the antenna power-decay exponent, `mu` the
-    relative antenna gain toward Eve in [0, 1]. Peak gains and the carrier
-    wavelength only enter the absolute link budget, never the secrecy math,
-    which depends on ratios alone.
+    relative antenna gain toward Eve in [0, 1]. The secrecy math depends on
+    these ratios alone, so peak gains and the carrier wavelength do not enter.
     """
 
     rho_b_km: float
@@ -41,9 +39,6 @@ class GeometryConfig:
     r: float = 2.0
     a: float = 2.0
     mu: float = 1.0
-    g_a_max: float = 1.0
-    g_b_max: float = 1.0
-    lambda_c_m: float = 0.03
 
     def __post_init__(self) -> None:
         for field in fields(self):
@@ -60,10 +55,6 @@ class GeometryConfig:
             raise ValueError(f"antenna exponent a must be > 0, got {self.a}")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
-        if self.g_a_max <= 0 or self.g_b_max <= 0:
-            raise ValueError("peak antenna gains must be strictly positive")
-        if self.lambda_c_m <= 0:
-            raise ValueError("carrier wavelength must be strictly positive")
 
 
 def beta(r: float, rho_b_km: float, rho_e_km: float) -> float:
@@ -109,20 +100,6 @@ def eve_stronger(config: GeometryConfig) -> bool:
     Equivalent formulations: alpha*mu > 1/beta, or gamma_g > 1.
     """
     return gamma_g(config) > 1.0
-
-
-def bob_link_amplitude(config: GeometryConfig) -> float:
-    """Absolute large-scale amplitude coefficient of the Alice-Bob link.
-
-    sqrt(g_A,max * g_B,max) * lambda_c / (4*pi*rho_B), with rho_B converted to
-    meters. Reported for link-budget documentation only; all secrecy
-    quantities depend on the ratio gamma_g instead.
-    """
-    return (
-        math.sqrt(config.g_a_max * config.g_b_max)
-        * config.lambda_c_m
-        / (4.0 * math.pi * config.rho_b_km * 1000.0)
-    )
 
 
 def protected_region_map(

@@ -33,6 +33,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .channel import WiretapChannelParams, ndtr
+from .code import _check_count
 from .quadrature import llr_integral
 
 __all__ = [
@@ -66,12 +67,9 @@ class CodeParams:
     k_prime: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"block length n must be >= 1, got {self.n}")
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if self.k_prime < 0:
-            raise ValueError(f"k_prime must be >= 0, got {self.k_prime}")
+        _check_count("block length n", self.n, 1)
+        _check_count("k", self.k, 0)
+        _check_count("k_prime", self.k_prime, 0)
         if self.k + self.k_prime > self.n:
             raise ValueError(
                 f"k + k_prime = {self.k + self.k_prime} exceeds block length n = {self.n}"
@@ -364,10 +362,12 @@ def renyi_entropy(dist: Sequence[float], order: float) -> float:
     p = np.asarray(dist, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("dist must be a non-empty 1-D distribution")
+    if not np.isfinite(p).all():
+        raise ValueError("dist must be finite")
     if np.min(p) < 0 or abs(float(np.sum(p)) - 1.0) > 1e-9:
         raise ValueError("dist must be nonnegative and sum to 1")
-    if order <= 1.0:
-        raise ValueError(f"order must exceed 1, got {order}")
+    if not (math.isfinite(order) and order > 1.0):
+        raise ValueError(f"order must be finite and exceed 1, got {order}")
     mass = p[p > 0]
     return float(np.log(np.sum(mass**order)) / (1.0 - order))
 

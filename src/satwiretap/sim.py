@@ -2,6 +2,8 @@
 
 run_reliability estimates Bob-side bit and frame error rates for the full
 encode/transmit/decode chain; its 95% intervals are Wilson score intervals.
+It runs on hard decisions, with the hash and the error count on packed uint64
+words at every k and k'.
 exact_leakage brute-forces I(M; Z^n) on tiny instances against a quantized
 Eve channel, giving an independent witness that the analytic leakage bounds
 hold (quantization only discards information, so the exact quantized leakage
@@ -21,14 +23,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .channel import WiretapChannelParams, ndtr
 from .code import (
-    DecodeFailure,
     EccScheme,
     _check_count,
     _enumerate_bits,
@@ -36,7 +37,6 @@ from .code import (
     _toeplitz_words,
     _unpack_rows,
     bits_from_ints,
-    toeplitz_apply_batch,
 )
 from .leakage import CodeParams, min_leakage_bound
 
@@ -78,6 +78,8 @@ class ReliabilityReport:
     The interval is centred on (p + z^2/(2N)) /
     (1 + z^2/N), which lies between p and 1/2, so it is not p +- half-width:
     with zero errors it is [0, z^2/(N + z^2)] and the half-width is positive.
+    decode_failures is always 0 and stays for the CSV schema: a DecodeFailure
+    from the ECC propagates out of run_reliability.
     """
 
     trials: int
@@ -91,17 +93,7 @@ class ReliabilityReport:
     fer_ci95: float
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "message_bits": self.message_bits,
-            "bit_errors": self.bit_errors,
-            "frame_errors": self.frame_errors,
-            "decode_failures": self.decode_failures,
-            "ber": self.ber,
-            "fer": self.fer,
-            "ber_ci95": self.ber_ci95,
-            "fer_ci95": self.fer_ci95,
-        }
+        return asdict(self)
 
 
 def _half_width(p: float, n: int) -> float:
@@ -149,70 +141,39 @@ def _reliability_block(
     params: WiretapChannelParams,
     master_seed: int,
     hash_seed: Optional[np.ndarray],
-) -> Tuple[int, int, int, int]:
-    """(bit errors, frame errors, decode failures, sum of squared per-frame bit errors).
+) -> Tuple[int, int, int]:
+    """(bit errors, frame errors, sum of squared per-frame bit errors).
 
     Runs on decision bits; the hash and the error count run on packed uint64
-    words when the hash input fits one (k+k' <= 64).
+    words, with the sacrifice word read in place after the k message bits.
     """
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(block_index,)))
     k, kp, n = code.k, code.k_prime, code.n
-    seed_len = k + kp - 1
 
     m = rng.integers(0, 2, size=(count, k), dtype=np.uint8)
     l = rng.integers(0, 2, size=(count, kp), dtype=np.uint8)
     if hash_seed is None:
-        seeds = rng.integers(0, 2, size=(count, seed_len), dtype=np.uint8)
+        seeds = rng.integers(0, 2, size=(count, k + kp - 1), dtype=np.uint8)
     else:
-        seeds = np.broadcast_to(hash_seed, (count, seed_len))
+        seeds = hash_seed[None]
+    seed_words = _pack_rows(seeds)
+    head = -(-k // 64)  # the words that hold the k message bits
 
-    packed = k + kp <= 64
-    if packed:
-        words = _pack_rows(np.concatenate([m, l], axis=1))
-        seed_words = _pack_rows(seeds)
-        mixed = _unpack_rows(words ^ _toeplitz_words(seed_words, words << k, k, kp), k + kp)
-    else:
-        mixed = np.concatenate([m ^ toeplitz_apply_batch(seeds, l, k, kp), l], axis=1)
-    codeword = ecc.encode(mixed)
+    words = _pack_rows(np.concatenate([m, l], axis=1))
+    mixed = words.copy()
+    mixed[:head] ^= _toeplitz_words(seed_words, words, k, kp, offset=k)
+    codeword = ecc.encode(_unpack_rows(mixed, k + kp))
 
     noise = rng.standard_normal((count, n))
     noise *= math.sqrt(params.bob_noise_var)
     received = _hard_decisions(noise, params.bob_amplitude, codeword)
+    del noise  # the block's largest array: free it before the decode stage
 
-    try:
-        v_hat = ecc.decode_bits(received)
-    except DecodeFailure:
-        # scheme cannot decode whole batches it rejects; fall back per trial
-        bit_errors = frame_errors = failures = squares = 0
-        for t in range(count):
-            try:
-                v_t = ecc.decode_bits(received[t])
-            except DecodeFailure:
-                failures += 1
-                frame_errors += 1
-                bit_errors += k
-                squares += k * k
-                continue
-            m_t = v_t[:k] ^ toeplitz_apply_batch(seeds[t : t + 1], v_t[None, k:], k, kp)[0]
-            diff = int(np.count_nonzero(m_t ^ m[t]))
-            bit_errors += diff
-            frame_errors += int(diff > 0)
-            squares += diff * diff
-        return bit_errors, frame_errors, failures, squares
-
-    if packed:
-        v_words = _pack_rows(v_hat)
-        m_hat = v_words ^ _toeplitz_words(seed_words, v_words << k, k, kp)
-        per_frame = np.bitwise_count((m_hat ^ words) >> (64 - k)).astype(np.int64)
-    else:
-        m_hat = v_hat[:, :k] ^ toeplitz_apply_batch(seeds, v_hat[:, k:], k, kp)
-        per_frame = (m_hat ^ m).sum(axis=1, dtype=np.int64)
-    return (
-        int(per_frame.sum()),
-        int(np.count_nonzero(per_frame)),
-        0,
-        int(per_frame @ per_frame),
-    )
+    v_words = _pack_rows(ecc.decode_bits(received))
+    diff = v_words[:head] ^ _toeplitz_words(seed_words, v_words, k, kp, offset=k) ^ words[:head]
+    diff[-1] &= ~np.uint64(0) << (-k % 64)  # drop the sacrifice bits after bit k
+    per_frame = np.bitwise_count(diff).sum(axis=0, dtype=np.int64)
+    return int(per_frame.sum()), int(np.count_nonzero(per_frame)), int(per_frame @ per_frame)
 
 
 def run_reliability(
@@ -233,7 +194,7 @@ def run_reliability(
     decodes. Pass `hash_seed` (k+k'-1 bits) to pin the hash for debugging.
     The trial stream is partitioned into fixed blocks whose RNG substreams
     depend only on (master_seed, block_index), so the report is identical for
-    every `workers` value.
+    every `workers` value. Propagates DecodeFailure from the ECC layer.
     """
     trials = _check_count("trials", trials, 1)
     master_seed = _check_count("master_seed", master_seed, 0)
@@ -269,8 +230,7 @@ def run_reliability(
 
     bit_errors = sum(r[0] for r in results)
     frame_errors = sum(r[1] for r in results)
-    failures = sum(r[2] for r in results)
-    squares = sum(r[3] for r in results)
+    squares = sum(r[2] for r in results)
     n_bits = trials * code.k
     ber = bit_errors / n_bits
     fer = frame_errors / trials
@@ -280,7 +240,7 @@ def run_reliability(
         message_bits=code.k,
         bit_errors=bit_errors,
         frame_errors=frame_errors,
-        decode_failures=failures,
+        decode_failures=0,
         ber=ber,
         fer=fer,
         ber_ci95=_half_width(ber, n_bits / deff),

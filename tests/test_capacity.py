@@ -66,6 +66,19 @@ class TestMiBiawgn:
         with pytest.raises(ValueError):
             mi_biawgn(-1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("noise_var", (1.0, math.nan)),
+            ("noise_var", (1.0, math.inf)),
+            ("amplitude", (math.inf, 1.0)),
+            ("amplitude", (math.nan, 1.0)),
+        ],
+    )
+    def test_non_finite_rejected(self, field, args):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            mi_biawgn(*args)
+
 
 class TestCapacities:
     def test_undegraded_eve_equals_bob(self):
@@ -159,6 +172,11 @@ class TestCurves:
     def test_nonpositive_snr_rejected(self):
         with pytest.raises(ValueError):
             capacity_curves([1.0, 0.0], _params(0.5, 1.0))
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf])
+    def test_non_finite_snr_rejected(self, snr):
+        with pytest.raises(ValueError, match="SNR values must be finite"):
+            capacity_curves([1.0, snr], _params(0.5, 1.0))
 
     def test_gamma_sweep_shape_and_boundary(self):
         rows = cs_gamma_sweep([0.5, 1.0, 1.5], [1.0])

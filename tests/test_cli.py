@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satwiretap.cli import _emit, _load_config, build_parser, main
-from satwiretap.code import bits_to_hex, hash_bits, hex_to_bits
+from satwiretap.code import (
+    bits_to_hex,
+    hash_bits,
+    hex_to_bits,
+    toeplitz_from_seed,
+    toeplitz_mul_naive,
+)
 
 
 def run_cli(capsys, *argv):
@@ -67,8 +73,11 @@ class TestGeometry:
         [
             ("capacity", "--snr-sweep", "1:2"),
             ("geometry", "--grid", "1:2:0,1:2:3"),
+            ("capacity", "--snr-sweep", "nan:1:3"),
+            ("capacity", "--snr-sweep", "1:inf:3"),
+            ("geometry", "--grid", "0.5:2:4,-inf:1:5"),
         ],
-        ids=["missing-count", "zero-count"],
+        ids=["missing-count", "zero-count", "nan-low", "inf-high", "inf-grid"],
     )
     def test_malformed_linspace_spec_exits_one(self, capsys, argv):
         rc, _, err = run_cli(capsys, *argv)
@@ -173,6 +182,21 @@ class TestCode:
         assert rc == 0
         (row,) = rows_of(out)
         expected = hash_bits(hex_to_bits("f0", 4), hex_to_bits("a0", 3), 2, 2)
+        assert row["digest"] == bits_to_hex(expected)
+
+    def test_hash_across_word_edges_matches_naive(self, capsys):
+        rng = np.random.default_rng(12)
+        k, kp = 70, 60
+        seed = rng.integers(0, 2, k + kp - 1, dtype=np.uint8)
+        word = rng.integers(0, 2, k + kp, dtype=np.uint8)
+        rc, out, _ = run_cli(
+            capsys,
+            "code", "--op", "hash", "--k", str(k), "--k-prime", str(kp),
+            "--seed", bits_to_hex(seed), "--word", bits_to_hex(word),
+        )
+        assert rc == 0
+        (row,) = rows_of(out)
+        expected = word[:k] ^ toeplitz_mul_naive(toeplitz_from_seed(seed, k, kp), word[k:])
         assert row["digest"] == bits_to_hex(expected)
 
     def test_missing_op(self, capsys):

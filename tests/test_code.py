@@ -8,7 +8,6 @@ from satwiretap.code import (
     IdentityCode,
     Repetition3Code,
     _pack_rows,
-    _toeplitz_words,
     _unpack_rows,
     bits_to_bpsk,
     bits_to_hex,
@@ -154,50 +153,44 @@ class TestFastMultiply:
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_packed_words_match_batch_and_naive(self, data):
-        # every shape whose seed fits one word, k' = 0 included
-        k = data.draw(st.integers(1, 64))
-        kp = data.draw(st.integers(0, 65 - k))
-        batch = data.draw(st.integers(1, 6))
+    def test_batch_matches_naive_across_word_edges(self, data):
+        # seeds of k+k'-1 bits on and around the 64-bit word edges, k' = 0
+        # included; either fresh seed rows or one row broadcast over the batch
+        seed_len = data.draw(
+            st.one_of(st.sampled_from([0, 63, 64, 65, 127, 128, 129]), st.integers(0, 200))
+        )
+        edges = [v for v in (1, 63, 64, 65, 128) if v <= seed_len] + [seed_len + 1]
+        k = data.draw(st.one_of(st.sampled_from(edges), st.integers(1, seed_len + 1)))
+        kp = seed_len + 1 - k
+        batch = data.draw(st.integers(1, 5))
+        shared = data.draw(st.booleans())
         rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        seeds = rows.integers(0, 2, (batch, k + kp - 1), dtype=np.uint8)
+        if shared:
+            seed = rows.integers(0, 2, seed_len, dtype=np.uint8)
+            seeds = np.broadcast_to(seed, (batch, seed_len))
+        else:
+            seeds = rows.integers(0, 2, (batch, seed_len), dtype=np.uint8)
         xs = rows.integers(0, 2, (batch, kp), dtype=np.uint8)
-        words = _toeplitz_words(_pack_rows(seeds), _pack_rows(xs), k, kp)
-        assert words.dtype == np.uint64 and words.shape == (batch,)
-        # the product sits in the top k bits, zeros below
-        assert np.array_equal(_unpack_rows(words, 64)[:, k:], np.zeros((batch, 64 - k)))
-        out = _unpack_rows(words, k)
-        assert np.array_equal(out, toeplitz_apply_batch(seeds, xs, k, kp))
+        out = toeplitz_apply_batch(seeds, xs, k, kp)
+        assert out.shape == (batch, k) and out.dtype == np.uint8
         for b in range(batch):
             T = toeplitz_from_seed(seeds[b], k, kp)
             assert np.array_equal(out[b], toeplitz_mul_naive(T, xs[b]))
-        # one seed word broadcast over the batch, as a pinned hash seed is
-        shared = _toeplitz_words(_pack_rows(seeds[:1]), _pack_rows(xs), k, kp)
-        assert np.array_equal(
-            _unpack_rows(shared, k),
-            toeplitz_apply_batch(np.broadcast_to(seeds[0], seeds.shape), xs, k, kp),
-        )
-
-    def test_packed_words_at_the_word_edges(self):
-        rng = np.random.default_rng(35)
-        for k, kp in [(64, 1), (64, 0), (1, 64), (1, 0), (33, 32), (2, 63)]:
-            seeds = rng.integers(0, 2, (16, k + kp - 1), dtype=np.uint8)
-            seeds[0] = 1
-            xs = rng.integers(0, 2, (16, kp), dtype=np.uint8)
-            xs[0] = 1
-            words = _toeplitz_words(_pack_rows(seeds), _pack_rows(xs), k, kp)
-            assert np.array_equal(_unpack_rows(words, 64)[:, k:], np.zeros((16, 64 - k)))
-            assert np.array_equal(_unpack_rows(words, k), toeplitz_apply_batch(seeds, xs, k, kp))
+        if shared:
+            # the one seed row, broadcast inside the product
+            assert np.array_equal(toeplitz_apply_batch(seed[None], xs, k, kp), out)
 
     def test_pack_rows_round_trip(self):
         rng = np.random.default_rng(34)
-        for width in (0, 1, 7, 8, 9, 63, 64):
+        for width in (0, 1, 7, 8, 9, 63, 64, 65, 128, 129, 200):
             bits = rng.integers(0, 2, (5, width), dtype=np.uint8)
             words = _pack_rows(bits)
-            assert words.dtype == np.uint64
+            assert words.dtype == np.uint64 and words.shape == (-(-width // 64), 5)
             assert np.array_equal(_unpack_rows(words, width), bits)
-        # bit 0 of a row is the word's top bit
-        assert _pack_rows(_bits("1")[None])[0] == np.uint64(1 << 63)
+        # bit 0 of a row is its first word's top bit, bit 64 its second word's
+        one = np.zeros((1, 65), np.uint8)
+        one[0, [0, 64]] = 1
+        assert _pack_rows(one)[:, 0].tolist() == [1 << 63, 1 << 63]
 
     def test_zero_input(self):
         seed = np.ones(15, np.uint8)

@@ -147,8 +147,6 @@ class TestConfigValidation:
             ("r", math.inf),
             ("a", math.inf),
             ("mu", math.nan),
-            ("g_a_max", math.inf),
-            ("lambda_c_m", math.nan),
         ],
     )
     def test_non_finite_rejected(self, field, value):

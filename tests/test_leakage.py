@@ -55,6 +55,24 @@ class TestCodeParams:
         with pytest.raises(ValueError, match="k_prime must be >= 0, got -2"):
             CodeParams(4, 1, -2)
 
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("n", (math.nan, 1, 0)),
+            ("n", (10.5, 1, 2)),
+            ("n", (True, 0, 0)),
+            ("k", (10, math.nan, 2)),
+            ("k", (10, 1.0, 2)),
+            ("k", (10, False, 2)),
+            ("k_prime", (10, 1, math.nan)),
+            ("k_prime", (10, 1, 2.5)),
+            ("k_prime", (10, 1, True)),
+        ],
+    )
+    def test_non_integer_counts_name_their_field(self, field, args):
+        with pytest.raises(ValueError, match=rf"\b{field} must be an integer"):
+            CodeParams(*args)
+
 
 class TestPsi:
     def test_blind_eve_is_zero(self):
@@ -358,6 +376,19 @@ class TestRenyi:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             renyi_entropy((0.5, 0.4), 2.0)
+
+    @pytest.mark.parametrize(
+        "field, dist, order",
+        [
+            ("order", (0.5, 0.5), math.nan),
+            ("order", (0.5, 0.5), math.inf),
+            ("dist", (math.nan, 0.5), 2.0),
+            ("dist", (math.inf, 0.5), 2.0),
+        ],
+    )
+    def test_non_finite_rejected(self, field, dist, order):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            renyi_entropy(dist, order)
 
 
 class TestNonuniformSeedBound:

@@ -106,24 +106,6 @@ def _oracle_instances(draw):
     return CodeParams(n, k, kp), ecc, make_eve_quantizer(params, levels), params
 
 
-class _FlakyIdentity(IdentityCode):
-    """Identity code whose decoder rejects every batch and the chosen frames."""
-
-    def __init__(self, message_length, bad_frames=()):
-        super().__init__(message_length)
-        self.bad_frames = set(bad_frames)
-        self.frame = 0
-
-    def decode_bits(self, bits):
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.ndim > 1:
-            raise DecodeFailure("batch rejected")
-        frame, self.frame = self.frame, self.frame + 1
-        if frame in self.bad_frames:
-            raise DecodeFailure(f"frame {frame} rejected")
-        return super().decode_bits(bits)
-
-
 class TestRunReliability:
     def test_noise_free_channel_is_error_free(self):
         params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=1e-24)
@@ -260,22 +242,13 @@ class TestRunReliability:
         assert report.bit_errors <= 2 * report.frame_errors
         assert report.ber_ci95 > 0.0 and report.fer_ci95 > 0.0
 
-    def test_per_frame_fallback_matches_batch_decode(self):
-        params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=1.0)
-        code = CodeParams(4, 2, 2)
-        batch = run_reliability(code, make_ecc("identity", 4), params, 300, 5)
-        fallback = run_reliability(code, _FlakyIdentity(4), params, 300, 5)
-        assert batch.frame_errors > 0
-        assert fallback == batch
-        assert fallback.decode_failures == 0
+    def test_decode_failure_propagates(self):
+        class Rejecting(IdentityCode):
+            def decode_bits(self, bits):
+                raise DecodeFailure("rejected")
 
-    def test_failed_frames_count_as_errors(self):
-        params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=1e-24)
-        ecc = _FlakyIdentity(4, bad_frames=(0, 3, 7))
-        report = run_reliability(CodeParams(4, 2, 2), ecc, params, 20, 5)
-        assert report.decode_failures == 3
-        assert report.frame_errors == 3
-        assert report.bit_errors == 3 * 2
+        with pytest.raises(DecodeFailure, match="rejected"):
+            run_reliability(CodeParams(4, 2, 2), Rejecting(4), P_MAIN, 20, 5)
 
     def test_as_dict_round_trip(self):
         params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=1.0)
@@ -337,10 +310,10 @@ class TestBitDomainIdentity:
 
     Each case: (ecc, n, k, k', e0, trials, master_seed, run_reliability
     keywords, (bit_errors, frame_errors, ber, fer, ber_ci95, fer_ci95)), all at
-    gamma_g = 0.3, gamma_n = 2, n0 = 1. They cover every ECC, the packed
-    (k+k' <= 64, incl. exactly 64 with k = 64 and k = 1) and uint8 (65, 66,
-    100) Toeplitz paths, k' = 0, k = 1, a pinned hash seed, two workers and
-    short last blocks.
+    gamma_g = 0.3, gamma_n = 2, n0 = 1. They cover every ECC, hash inputs of
+    one word (k+k' <= 64, incl. exactly 64 with k = 64 and k = 1) and of two
+    (65, 66, 100), k' = 0, k = 1, a pinned hash seed, two workers and short
+    last blocks.
     """
 
     CASES = [
