@@ -8,6 +8,7 @@ from satwiretap.code import (
     IdentityCode,
     Repetition3Code,
     _pack_rows,
+    _toeplitz_words,
     _unpack_rows,
     bits_to_bpsk,
     bits_to_hex,
@@ -179,6 +180,50 @@ class TestFastMultiply:
         if shared:
             # the one seed row, broadcast inside the product
             assert np.array_equal(toeplitz_apply_batch(seed[None], xs, k, kp), out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_packed_words_match_batch_and_naive(self, data):
+        # every shape whose seed fits one word, k' = 0 included
+        k = data.draw(st.integers(1, 64))
+        kp = data.draw(st.integers(0, 65 - k))
+        batch = data.draw(st.integers(1, 6))
+        rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        seeds = rows.integers(0, 2, (batch, k + kp - 1), dtype=np.uint8)
+        xs = rows.integers(0, 2, (batch, kp), dtype=np.uint8)
+        words = _toeplitz_words(_pack_rows(seeds), _pack_rows(xs), k, kp)
+        assert words.dtype == np.uint64 and words.shape == (1, batch)
+        # the product sits in the top k bits, zeros below
+        assert np.array_equal(_unpack_rows(words, 64)[:, k:], np.zeros((batch, 64 - k)))
+        out = _unpack_rows(words, k)
+        assert np.array_equal(out, toeplitz_apply_batch(seeds, xs, k, kp))
+        for b in range(batch):
+            T = toeplitz_from_seed(seeds[b], k, kp)
+            assert np.array_equal(out[b], toeplitz_mul_naive(T, xs[b]))
+        # one seed word broadcast over the batch, as a pinned hash seed is
+        shared = _toeplitz_words(_pack_rows(seeds[:1]), _pack_rows(xs), k, kp)
+        assert np.array_equal(
+            _unpack_rows(shared, k),
+            toeplitz_apply_batch(np.broadcast_to(seeds[0], seeds.shape), xs, k, kp),
+        )
+        # x read in place after k leading bits, as the reliability block reads it
+        lead = rows.integers(0, 2, (batch, k), dtype=np.uint8)
+        after = _pack_rows(np.concatenate([lead, xs], axis=1))
+        assert np.array_equal(_toeplitz_words(_pack_rows(seeds), after, k, kp, offset=k), words)
+
+    def test_packed_words_at_the_word_edges(self):
+        rng = np.random.default_rng(35)
+        for k, kp in [(64, 1), (64, 0), (1, 64), (1, 0), (33, 32), (2, 63)]:
+            seeds = rng.integers(0, 2, (16, k + kp - 1), dtype=np.uint8)
+            seeds[0] = 1
+            xs = rng.integers(0, 2, (16, kp), dtype=np.uint8)
+            xs[0] = 1
+            words = _toeplitz_words(_pack_rows(seeds), _pack_rows(xs), k, kp)
+            assert np.array_equal(_unpack_rows(words, 64)[:, k:], np.zeros((16, 64 - k)))
+            out = _unpack_rows(words, k)
+            for b in range(16):
+                T = toeplitz_from_seed(seeds[b], k, kp)
+                assert np.array_equal(out[b], toeplitz_mul_naive(T, xs[b]))
 
     def test_pack_rows_round_trip(self):
         rng = np.random.default_rng(34)

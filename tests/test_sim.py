@@ -106,6 +106,24 @@ def _oracle_instances(draw):
     return CodeParams(n, k, kp), ecc, make_eve_quantizer(params, levels), params
 
 
+class _PerFrameIdentity(IdentityCode):
+    """Identity code that decodes a batch one frame at a time and flips the
+    first `garbled_bits` decoded bits of the chosen frames."""
+
+    def __init__(self, message_length, bad_frames=(), garbled_bits=0):
+        super().__init__(message_length)
+        self.bad_frames = list(bad_frames)
+        self.garbled_bits = garbled_bits
+
+    def decode_bits(self, bits):
+        bits = np.asarray(bits, dtype=np.uint8)
+        out = np.empty((len(bits), self.message_length), dtype=np.uint8)
+        for frame, row in enumerate(bits):
+            out[frame] = super().decode_bits(row)
+        out[self.bad_frames, : self.garbled_bits] ^= 1
+        return out
+
+
 class TestRunReliability:
     def test_noise_free_channel_is_error_free(self):
         params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=1e-24)
@@ -241,6 +259,27 @@ class TestRunReliability:
         assert 0 < report.ber <= report.fer <= 1.0
         assert report.bit_errors <= 2 * report.frame_errors
         assert report.ber_ci95 > 0.0 and report.fer_ci95 > 0.0
+
+    def test_per_frame_fallback_matches_batch_decode(self):
+        # a plug-in that falls back to decoding frame by frame gives the
+        # batch decoder's counts: the block hands it independent rows
+        params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=1.0)
+        code = CodeParams(4, 2, 2)
+        batch = run_reliability(code, make_ecc("identity", 4), params, 300, 5)
+        per_frame = run_reliability(code, _PerFrameIdentity(4), params, 300, 5)
+        assert batch.frame_errors > 0
+        assert per_frame == batch
+        assert per_frame.decode_failures == 0
+
+    def test_failed_frames_count_as_errors(self):
+        # noise-free, so only the frames the decoder gets wrong are errors,
+        # each with both of its garbled message bits
+        params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, n0=1e-24)
+        ecc = _PerFrameIdentity(4, bad_frames=(0, 3, 7), garbled_bits=2)
+        report = run_reliability(CodeParams(4, 2, 2), ecc, params, 20, 5)
+        assert report.decode_failures == 0
+        assert report.frame_errors == 3
+        assert report.bit_errors == 3 * 2
 
     def test_decode_failure_propagates(self):
         class Rejecting(IdentityCode):
