@@ -5,7 +5,8 @@ reported in bits per channel use. The secrecy capacity of the degraded pair is
 the clipped gap (C_bob - C_eve)_+, positive exactly when gamma_g < sqrt(gamma_n).
 Each mutual information is one folded LLR integral on the fixed quadrature
 rule (quadrature.llr_integral), the kernel that also serves psi and E0; it
-depends on the channel only through amplitude/sigma.
+depends on the channel only through amplitude/sigma. A sweep evaluates all its
+cells in one kernel call, and mi_biawgn is the same call on one ratio.
 """
 
 from __future__ import annotations
@@ -43,6 +44,33 @@ class CapacityResult:
     c_s: float
 
 
+def _folded_loss(llr):
+    # log2(1 + e^-L) plus its mirror e^-L * log2(1 + e^L) at -L
+    tail = np.exp(-llr)
+    return ((1.0 + tail) * np.log1p(tail) + llr * tail) / _LN2
+
+
+def _ratio(amplitude: float, noise_var: float) -> float:
+    if not (math.isfinite(noise_var) and noise_var > 0):
+        raise ValueError(f"noise_var must be finite and > 0, got {noise_var}")
+    if not (math.isfinite(amplitude) and amplitude >= 0):
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
+    return amplitude / math.sqrt(noise_var)
+
+
+def _mi_bits(ratios: Sequence[float]) -> np.ndarray:
+    """Mutual information in bits at each amplitude/sigma ratio, in one kernel call.
+
+    Ratio 0 gives 0. The kernel sums every entry in the same order whatever
+    the batch, so an entry equals the single-ratio call on it.
+    """
+    r = np.asarray(ratios, dtype=float)
+    mi = np.zeros_like(r)
+    live = r > 0.0
+    mi[live] = np.clip(1.0 - llr_integral(r[live], _folded_loss), 0.0, 1.0)
+    return mi
+
+
 def mi_biawgn(amplitude: float, noise_var: float) -> float:
     """Mutual information of a BI-AWGN channel with uniform binary input.
 
@@ -51,7 +79,8 @@ def mi_biawgn(amplitude: float, noise_var: float) -> float:
 
         I = 1 - E[log2(1 + e^(-L))],   L = 2*a*Y/v given X = +1,
 
-    evaluated as the folded LLR integral on the fixed quadrature rule.
+    evaluated as the folded LLR integral on the fixed quadrature rule: the
+    batched kernel behind the capacity sweeps, on a single ratio.
 
     Parameters
     ----------
@@ -65,21 +94,7 @@ def mi_biawgn(amplitude: float, noise_var: float) -> float:
     float
         Mutual information in bits per channel use, in [0, 1].
     """
-    if not (math.isfinite(noise_var) and noise_var > 0):
-        raise ValueError(f"noise_var must be finite and > 0, got {noise_var}")
-    if not (math.isfinite(amplitude) and amplitude >= 0):
-        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
-    r = amplitude / math.sqrt(noise_var)
-    if r == 0.0:
-        return 0.0
-
-    def folded(llr):
-        # log2(1 + e^-L) plus its mirror e^-L * log2(1 + e^L) at -L
-        tail = np.exp(-llr)
-        return ((1.0 + tail) * np.log1p(tail) + llr * tail) / _LN2
-
-    loss = float(llr_integral(r, folded))
-    return min(1.0, max(0.0, 1.0 - loss))
+    return float(_mi_bits([_ratio(amplitude, noise_var)])[0])
 
 
 def capacity_bob(params: WiretapChannelParams) -> float:
@@ -141,24 +156,24 @@ def capacity_curves(snr_grid: Sequence[float], params: WiretapChannelParams) -> 
     """
     if len(snr_grid) == 0:
         raise ValueError("snr_grid must be non-empty")
-    rows = []
+    ratios = []
     for snr in snr_grid:
         if not (math.isfinite(snr) and snr > 0):
             raise ValueError(f"SNR values must be finite and > 0, got {snr}")
         root = math.sqrt(snr)
-        cb = mi_biawgn(root, 1.0)
-        ce = mi_biawgn(params.gamma_g * root, params.gamma_n)
-        rows.append(
-            {
-                "snr_db": 10.0 * math.log10(snr),
-                "c_bob": cb,
-                "c_eve": ce,
-                "c_s": max(cb - ce, 0.0),
-                "gauss_ref": 0.5 * math.log2(1.0 + snr),
-                "bsc_ref": 1.0 - _binary_entropy(ndtr(-root)),
-            }
-        )
-    return rows
+        ratios += (_ratio(root, 1.0), _ratio(params.gamma_g * root, params.gamma_n))
+    mi = _mi_bits(ratios).tolist()
+    return [
+        {
+            "snr_db": 10.0 * math.log10(snr),
+            "c_bob": cb,
+            "c_eve": ce,
+            "c_s": max(cb - ce, 0.0),
+            "gauss_ref": 0.5 * math.log2(1.0 + snr),
+            "bsc_ref": 1.0 - _binary_entropy(ndtr(-math.sqrt(snr))),
+        }
+        for snr, cb, ce in zip(snr_grid, mi[0::2], mi[1::2])
+    ]
 
 
 def cs_gamma_sweep(
@@ -170,16 +185,18 @@ def cs_gamma_sweep(
     """Secrecy capacity over a (gamma_g, gamma_n) grid, CSV-ready rows.
 
     Rows run gamma_g-major. Bob's capacity depends only on (n0, e0), so it is
-    computed once for the whole grid.
+    computed once for the whole grid, in the same kernel call as every cell.
     """
     if len(gamma_g_grid) == 0 or len(gamma_n_grid) == 0:
         raise ValueError("grids must be non-empty")
-    c_bob = capacity_bob(
-        WiretapChannelParams(gamma_g=gamma_g_grid[0], gamma_n=gamma_n_grid[0], n0=n0, e0=e0)
-    )
-    rows = []
-    for gg in gamma_g_grid:
-        for gn in gamma_n_grid:
-            c_eve = capacity_eve(WiretapChannelParams(gamma_g=gg, gamma_n=gn, n0=n0, e0=e0))
-            rows.append({"gamma_g": gg, "gamma_n": gn, "c_s": max(c_bob - c_eve, 0.0)})
-    return rows
+    bob = WiretapChannelParams(gamma_g=gamma_g_grid[0], gamma_n=gamma_n_grid[0], n0=n0, e0=e0)
+    cells = [(gg, gn) for gg in gamma_g_grid for gn in gamma_n_grid]
+    ratios = [_ratio(bob.bob_amplitude, bob.bob_noise_var)]
+    for gg, gn in cells:
+        eve = WiretapChannelParams(gamma_g=gg, gamma_n=gn, n0=n0, e0=e0)
+        ratios.append(_ratio(eve.eve_amplitude, eve.eve_noise_var))
+    c_bob, *c_eve = _mi_bits(ratios).tolist()
+    return [
+        {"gamma_g": gg, "gamma_n": gn, "c_s": max(c_bob - ce, 0.0)}
+        for (gg, gn), ce in zip(cells, c_eve)
+    ]

@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .capacity import capacity_curves, cs_gamma_sweep, mi_biawgn
+from .capacity import capacity_curves, cs_gamma_sweep
 from .channel import WiretapChannelParams, density_eve, mixture_density_eve
 from .channel import density_bob, mixture_density_bob
 from .geometry import beta, protected_region_map
@@ -64,15 +64,8 @@ def _region_rows(extra_name: str, extra_values, **kwargs) -> Rows:
     for value in extra_values:
         params = dict(kwargs)
         params[extra_name] = value
-        for cell in protected_region_map(thetas, ratios, **params):
-            row = {extra_name: value}
-            row.update(
-                theta_deg=cell["theta_deg"],
-                rho_ratio=cell["rho_ratio"],
-                gamma_g=cell["gamma_g"],
-                protected=int(cell["protected"]),
-            )
-            rows.append(row)
+        cells = protected_region_map(thetas, ratios, **params)
+        rows += ({extra_name: value, **cell} for cell in cells)
     return fields, rows
 
 
@@ -113,15 +106,8 @@ def density_rows(side: str, params: WiretapChannelParams, points: int = 401) -> 
         one, mix = density_eve, mixture_density_eve
     span = amp + 4.0 * math.sqrt(var)
     grid = np.linspace(-span, span, points)
-    rows = [
-        {
-            "y": float(y),
-            "pdf_plus": float(one(y, +1, params)),
-            "pdf_minus": float(one(y, -1, params)),
-            "pdf_mix": float(mix(y, params)),
-        }
-        for y in grid
-    ]
+    columns = (grid, one(grid, +1, params), one(grid, -1, params), mix(grid, params))
+    rows = [dict(zip(fields, values)) for values in zip(*(c.tolist() for c in columns))]
     return fields, rows
 
 

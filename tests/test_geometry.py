@@ -188,3 +188,58 @@ class TestProtectedRegionMap:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             protected_region_map([], [1.0], r=2.0, a=2.0, mu=1.0)
+
+    @pytest.mark.parametrize(
+        "field, thetas, ratios, kwargs",
+        [
+            ("theta_e_deg", [math.nan], [1.0], {}),
+            ("theta_e_deg", [1.0, math.inf], [1.0], {}),
+            ("rho_ratio", [1.0], [math.nan], {}),
+            ("rho_ratio", [1.0], [0.5, math.inf], {}),
+            ("r", [1.0], [1.0], {"r": math.nan}),
+            ("a", [1.0], [1.0], {"a": math.inf}),
+            ("rho_b_km", [1.0], [1.0], {"rho_b_km": math.nan}),
+        ],
+    )
+    def test_non_finite_rejected(self, field, thetas, ratios, kwargs):
+        params = {"r": 2.0, "a": 2.0, "mu": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            protected_region_map(thetas, ratios, **params)
+
+    def test_rows_hold_python_numbers(self):
+        rows = protected_region_map(np.array([0.5, 3.0]), np.array([0.2, 1.0]), 2.2, 2.0, 0.5)
+        for row in rows:
+            assert [type(v) for v in row.values()] == [float, float, float, int]
+
+    def test_cells_equal_pointwise_gamma_g(self):
+        thetas, ratios = np.linspace(0.5, 8.0, 7), np.logspace(-2, 0, 5)
+        rows = protected_region_map(thetas, ratios, r=2.2, a=2.0, mu=0.1, rho_b_km=1000.0)
+        want = [
+            alpha(float(t), 2.0) * 0.1 * beta(2.2, 1000.0, float(q) * 1000.0)
+            for t in thetas
+            for q in ratios
+        ]
+        assert [row["gamma_g"] for row in rows] == want
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize(
+        "field, args",
+        [("theta_e_deg", (math.inf, 2.0)), ("theta_e_deg", (math.nan, 2.0)), ("a", (2.0, math.nan))],
+    )
+    def test_alpha(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            alpha(*args)
+
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("rho_e_km", (2.0, 1.0, math.inf)),
+            ("rho_b_km", (2.0, math.nan, 1.0)),
+            ("r", (math.nan, 1.0, 1.0)),
+            ("r", (math.inf, 1.0, 1.0)),
+        ],
+    )
+    def test_beta(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            beta(*args)

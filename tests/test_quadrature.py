@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satwiretap.quadrature import NODES, WEIGHTS, integrate
+from satwiretap.quadrature import NODES, WEIGHTS, integrate, llr_integral
 
 
 def test_unit_gaussian_integrates_to_one():
@@ -27,7 +27,7 @@ def test_polynomial_exact_on_single_panel():
 
 
 def test_oscillatory_integrand_converges():
-    # six periods on the fixed rule's 192 nodes
+    # six periods on the fixed rule's 96 nodes
     f = lambda x: np.cos(40.0 * x)
     val = integrate(f, 0.0, 1.0)
     assert abs(val - math.sin(40.0) / 40.0) < 1e-10
@@ -77,3 +77,27 @@ def test_polynomial_exact_on_any_interval(coeffs, lo, width):
     magnitude = width * (1.0 + sum(abs(c) * reach**i for i, c in enumerate(coeffs)))
     val = integrate(poly, lo, hi)
     assert abs(val - exact) <= 1e-9 * magnitude
+
+
+def _decaying(llr):
+    # a stack of two integrands, as the E0 kernel passes with derivatives
+    return np.stack((np.exp(-llr), np.log1p(np.exp(-llr))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.lists(st.floats(min_value=1e-3, max_value=16.0), min_size=1, max_size=12),
+    t=st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=5),
+)
+def test_llr_integral_batch_equals_single_calls(r, t):
+    # the reduction rounds each row alike whatever the batch: no tolerance
+    whole = llr_integral(np.array(r), _decaying)
+    assert whole.shape == (2, len(r))
+    for i, ri in enumerate(r):
+        assert np.array_equal(whole[:, i], llr_integral(ri, _decaying))
+    grid = llr_integral(np.array(r)[:, None], _decaying, np.array(t))
+    assert grid.shape == (2, len(r), len(t))
+    for i, ri in enumerate(r):
+        assert np.array_equal(grid[:, i], llr_integral(ri, _decaying, np.array(t)))
+        for j, tj in enumerate(t):
+            assert np.array_equal(grid[:, i, j], llr_integral(ri, _decaying, tj))
