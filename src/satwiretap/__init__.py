@@ -6,140 +6,61 @@ secrecy capacity; leakage evaluates finite-length information-leakage bounds;
 code implements the modified-Toeplitz coset encoder; sim provides Monte-Carlo
 reliability runs and exact tiny-instance leakage oracles; cli exposes all of
 it as CSV-producing subcommands.
+
+The namespace is lazy (PEP 562): ``import satwiretap`` loads no submodule.
+The first access to a public name, or to a submodule such as
+``satwiretap.sim``, imports its home module and caches the name here, so
+every CLI process pays only for the modules its subcommand uses.
 """
 
-from .capacity import (
-    CapacityResult,
-    c_separation_condition,
-    capacity_bob,
-    capacity_curves,
-    capacity_eve,
-    cs_gamma_sweep,
-    mi_biawgn,
-    positivity_condition,
-    secrecy_capacity,
-)
-from .channel import (
-    WiretapChannelParams,
-    density_bob,
-    density_eve,
-    eve_hard_decision_crossover,
-    mixture_density_bob,
-    mixture_density_eve,
-    sample_bob,
-    sample_eve,
-)
-from .code import (
-    DecodeFailure,
-    EccScheme,
-    Hamming74Code,
-    IdentityCode,
-    Repetition3Code,
-    bits_to_bpsk,
-    bits_to_hex,
-    coset_preimage_size,
-    decode,
-    encode,
-    hard_decision,
-    hash_bits,
-    hex_to_bits,
-    make_ecc,
-    toeplitz_from_seed,
-    toeplitz_mul_fast,
-    toeplitz_mul_naive,
-)
-from .geometry import (
-    GeometryConfig,
-    alpha,
-    beta,
-    eve_stronger,
-    gamma_g,
-    protected_region_map,
-)
-from .leakage import (
-    CodeParams,
-    LeakageBound,
-    e0,
-    e0_max,
-    exponent_margin,
-    leakage_bound,
-    min_leakage_bound,
-    noiseless_main_bounds,
-    nonuniform_seed_bound,
-    psi,
-    renyi_entropy,
-)
-from .sim import (
-    EveQuantizer,
-    LeakageOracleReport,
-    MiEstimate,
-    ReliabilityReport,
-    exact_leakage,
-    make_eve_quantizer,
-    mc_mutual_info,
-    run_reliability,
-)
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityResult",
-    "CodeParams",
-    "DecodeFailure",
-    "EccScheme",
-    "EveQuantizer",
-    "GeometryConfig",
-    "Hamming74Code",
-    "IdentityCode",
-    "LeakageBound",
-    "LeakageOracleReport",
-    "MiEstimate",
-    "ReliabilityReport",
-    "Repetition3Code",
-    "WiretapChannelParams",
-    "alpha",
-    "beta",
-    "bits_to_bpsk",
-    "bits_to_hex",
-    "c_separation_condition",
-    "capacity_bob",
-    "capacity_curves",
-    "capacity_eve",
-    "coset_preimage_size",
-    "cs_gamma_sweep",
-    "decode",
-    "density_bob",
-    "density_eve",
-    "e0",
-    "e0_max",
-    "encode",
-    "eve_hard_decision_crossover",
-    "eve_stronger",
-    "exact_leakage",
-    "exponent_margin",
-    "gamma_g",
-    "hard_decision",
-    "hash_bits",
-    "hex_to_bits",
-    "leakage_bound",
-    "make_ecc",
-    "make_eve_quantizer",
-    "mc_mutual_info",
-    "mi_biawgn",
-    "min_leakage_bound",
-    "mixture_density_bob",
-    "mixture_density_eve",
-    "noiseless_main_bounds",
-    "nonuniform_seed_bound",
-    "positivity_condition",
-    "protected_region_map",
-    "psi",
-    "renyi_entropy",
-    "run_reliability",
-    "sample_bob",
-    "sample_eve",
-    "secrecy_capacity",
-    "toeplitz_from_seed",
-    "toeplitz_mul_fast",
-    "toeplitz_mul_naive",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "capacity": (
+        "CapacityResult", "c_separation_condition", "capacity_bob", "capacity_curves",
+        "capacity_eve", "cs_gamma_sweep", "mi_biawgn", "positivity_condition",
+        "secrecy_capacity",
+    ),
+    "channel": (
+        "WiretapChannelParams", "density_bob", "density_eve", "eve_hard_decision_crossover",
+        "mixture_density_bob", "mixture_density_eve", "sample_bob", "sample_eve",
+    ),
+    "code": (
+        "DecodeFailure", "EccScheme", "Hamming74Code", "IdentityCode", "Repetition3Code",
+        "bits_to_bpsk", "bits_to_hex", "coset_preimage_size", "decode", "encode",
+        "hard_decision", "hash_bits", "hex_to_bits", "make_ecc", "toeplitz_from_seed",
+        "toeplitz_mul_fast", "toeplitz_mul_naive",
+    ),
+    "geometry": ("GeometryConfig", "alpha", "beta", "eve_stronger", "gamma_g", "protected_region_map"),
+    "leakage": (
+        "CodeParams", "LeakageBound", "e0", "e0_max", "exponent_margin", "leakage_bound",
+        "min_leakage_bound", "noiseless_main_bounds", "nonuniform_seed_bound", "psi",
+        "renyi_entropy",
+    ),
+    "sim": (
+        "EveQuantizer", "LeakageOracleReport", "MiEstimate", "ReliabilityReport",
+        "exact_leakage", "make_eve_quantizer", "mc_mutual_info", "run_reliability",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "figures", "quadrature"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return _importlib.import_module(f"{__name__}.{name}")  # binds it here too
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

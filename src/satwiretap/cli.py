@@ -5,6 +5,8 @@ from --config, then built-in defaults. Config keys are the flag names with
 underscores (gamma_g=0.3); values go through the same parsing as the flag.
 Output is CSV with a header row, comma separator, '.' decimals, to stdout or
 --out. Exit codes: 0 success, 1 domain error (message on stderr), 2 usage.
+Each handler imports the package modules it uses when it is dispatched, so a
+process loads only what its subcommand needs (``bound`` never imports ``sim``).
 """
 
 from __future__ import annotations
@@ -16,19 +18,6 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-
-from . import figures
-from .capacity import (
-    c_separation_condition,
-    capacity_curves,
-    positivity_condition,
-    secrecy_capacity,
-)
-from .channel import WiretapChannelParams
-from .code import bits_to_bpsk, bits_to_hex, decode, encode, hash_bits, hex_to_bits, make_ecc
-from .geometry import GeometryConfig, alpha, beta, gamma_g, eve_stronger, protected_region_map
-from .leakage import CodeParams, min_leakage_bound
-from .sim import exact_leakage, make_eve_quantizer, run_reliability
 
 
 def _linspace_spec(text: str) -> np.ndarray:
@@ -167,13 +156,17 @@ def _emit(fields: List[str], rows: List[dict], out: Optional[str]) -> None:
             stream.close()
 
 
-def _params_from(args) -> WiretapChannelParams:
+def _params_from(args):
+    from .channel import WiretapChannelParams
+
     return WiretapChannelParams(
         gamma_g=args.gamma_g, gamma_n=args.gamma_n, n0=args.n0, e0=args.e0
     )
 
 
 def _cmd_geometry(args) -> None:
+    from .geometry import GeometryConfig, alpha, beta, eve_stronger, gamma_g, protected_region_map
+
     if args.grid:
         theta_spec, _, ratio_spec = args.grid.partition(",")
         if not ratio_spec:
@@ -212,6 +205,13 @@ def _cmd_geometry(args) -> None:
 
 
 def _cmd_capacity(args) -> None:
+    from .capacity import (
+        c_separation_condition,
+        capacity_curves,
+        positivity_condition,
+        secrecy_capacity,
+    )
+
     params = _params_from(args)
     if args.snr_sweep:
         snr_db = _linspace_spec(args.snr_sweep)
@@ -234,15 +234,21 @@ def _cmd_capacity(args) -> None:
 
 
 def _cmd_densities(args) -> None:
+    from .figures import density_rows
+
     if args.points < 2:
         raise ValueError("--points must be >= 2")
-    fields, rows = figures.density_rows(args.side, _params_from(args), args.points)
+    fields, rows = density_rows(args.side, _params_from(args), args.points)
     _emit(fields, rows, args.out)
 
 
 def _cmd_bound(args) -> None:
+    from .leakage import CodeParams, min_leakage_bound
+
     if args.k_prime is not None and args.rho_sec is not None:
         raise ValueError("give --k-prime or --rho-sec, not both")
+    if args.rho_sec is not None and not 0.0 <= args.rho_sec <= 1.0:
+        raise ValueError(f"--rho-sec must be a finite rate in [0, 1], got {args.rho_sec}")
     if args.k_prime is not None:
         k_prime = args.k_prime
     else:
@@ -264,37 +270,53 @@ def _require(args, names: Sequence[str]) -> None:
         raise ValueError(f"--op {args.op} requires --" + ", --".join(missing))
 
 
+def _hex_flag(flag: str, text: str, length: int):
+    """hex_to_bits on a flag's value, with the flag named in its error."""
+    from .code import hex_to_bits
+
+    try:
+        return hex_to_bits(text, length)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _cmd_code(args) -> None:
+    from .code import bits_to_bpsk, bits_to_hex, decode, encode, hash_bits, make_ecc
+
     if args.op is None:
         raise ValueError("--op is required (encode, decode, or hash)")
     _require(args, ["k", "k-prime", "seed"])
     k, kp = args.k, args.k_prime
     ecc = make_ecc(args.ecc, k + kp)
-    seed = hex_to_bits(args.seed, k + kp - 1)
+    seed = _hex_flag("--seed", args.seed, k + kp - 1)
     if args.op == "encode":
         _require(args, ["message", "sacrifice"])
-        m = hex_to_bits(args.message, k)
-        l = hex_to_bits(args.sacrifice, kp)
+        m = _hex_flag("--message", args.message, k)
+        l = _hex_flag("--sacrifice", args.sacrifice, kp)
         cw = encode(m, l, seed, ecc)
         row = {"op": "encode", "n": ecc.block_length, "codeword": bits_to_hex(cw)}
     elif args.op == "decode":
         _require(args, ["word"])
-        received = hex_to_bits(args.word, ecc.block_length)
+        received = _hex_flag("--word", args.word, ecc.block_length)
         m_hat = decode(bits_to_bpsk(received), seed, ecc, k)
         row = {"op": "decode", "n": ecc.block_length, "message": bits_to_hex(m_hat)}
     else:
         _require(args, ["word"])
-        v = hex_to_bits(args.word, k + kp)
+        v = _hex_flag("--word", args.word, k + kp)
         row = {"op": "hash", "n": ecc.block_length, "digest": bits_to_hex(hash_bits(v, seed, k, kp))}
     _emit(list(row), [row], args.out)
 
 
 def _cmd_simulate(args) -> None:
+    from .code import make_ecc
+    from .leakage import CodeParams
+    from .sim import run_reliability
+
     code = CodeParams(n=args.n, k=args.k, k_prime=args.k_prime)
     ecc = make_ecc(args.ecc, args.k + args.k_prime)
     hash_seed = None
     if args.hash_seed is not None:
-        hash_seed = hex_to_bits(args.hash_seed, args.k + args.k_prime - 1)
+        hash_seed = _hex_flag("--hash-seed", args.hash_seed, args.k + args.k_prime - 1)
     report = run_reliability(
         code,
         ecc,
@@ -310,6 +332,10 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
+    from .code import make_ecc
+    from .leakage import CodeParams
+    from .sim import exact_leakage, make_eve_quantizer
+
     code = CodeParams(n=args.n, k=args.k, k_prime=args.k_prime)
     ecc = make_ecc(args.ecc, args.k + args.k_prime)
     params = _params_from(args)
@@ -333,9 +359,11 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_reproduce(args) -> None:
+    from .figures import figure_data
+
     if args.figure is None:
         raise ValueError("--figure is required (1..11)")
-    fields, rows = figures.figure_data(args.figure)
+    fields, rows = figure_data(args.figure)
     _emit(fields, rows, args.out)
 
 
@@ -396,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.parse_args(argv)  # exits 2 naming the unrecognized arguments
     try:
         _SUBCOMMANDS[args.command][2](args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: numpy refused an array size
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

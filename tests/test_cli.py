@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import json
 import os
 import re
 import string
@@ -126,6 +127,19 @@ class TestDensities:
         assert rc == 1 and "error:" in err
 
 
+# 10^14 float64 values need 728 TiB, beyond a 64-bit process's address space,
+# so numpy raises MemoryError without allocating anything
+@pytest.mark.parametrize(
+    "argv",
+    [["densities", "--points", str(10**14)], ["bound", "--s-grid", str(10**14)]],
+)
+def test_unallocatable_size_exits_one(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "allocate" in err
+    assert "Traceback" not in err
+
+
 class TestBound:
     def test_min_row_matches_curve(self, capsys):
         rc, out, _ = run_cli(
@@ -156,6 +170,13 @@ class TestBound:
             capsys, "bound", "--k-prime", "10", "--rho-sec", "0.1"
         )
         assert rc == 1 and "error:" in err
+
+    @pytest.mark.parametrize("rate", ["inf", "nan", "-0.5", "2"])
+    def test_rate_outside_unit_interval_names_the_flag(self, capsys, rate):
+        rc, out, err = run_cli(capsys, "bound", "--rho-sec", rate)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: --rho-sec must be a finite rate in [0, 1]")
+        assert "Traceback" not in err
 
 
 class TestCode:
@@ -210,6 +231,21 @@ class TestCode:
         )
         assert rc == 1 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--seed", ["--op", "hash", "--seed", "0", "--word", "00"]),
+            ("--message", ["--op", "encode", "--seed", "00", "--message", "zz", "--sacrifice", "00"]),
+            ("--sacrifice", ["--op", "encode", "--seed", "00", "--message", "00", "--sacrifice", "q"]),
+            ("--word", ["--op", "decode", "--seed", "00", "--word", "x"]),
+            ("--word", ["--op", "hash", "--seed", "00", "--word", "0"]),
+        ],
+    )
+    def test_bad_hex_names_its_flag(self, capsys, flag, argv):
+        rc, out, err = run_cli(capsys, "code", "--k", "2", "--k-prime", "1", *argv)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {flag}: non-hexadecimal number")
+
 
 class TestSimulate:
     ARGS = (
@@ -227,6 +263,13 @@ class TestSimulate:
         _, serial, _ = run_cli(capsys, *self.ARGS, "--block-size", "256")
         _, pooled, _ = run_cli(capsys, *self.ARGS, "--block-size", "256", "--threads", "4")
         assert serial == pooled
+
+    def test_bad_hash_seed_names_its_flag(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "simulate", "--n", "3", "--k", "2", "--k-prime", "1", "--hash-seed", "zz"
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith("error: --hash-seed: non-hexadecimal number")
 
     def test_report_fields(self, capsys):
         rc, out, _ = run_cli(capsys, *self.ARGS)
@@ -409,6 +452,43 @@ def test_cli_import_does_not_load_scipy():
     loaded_from, scipy_modules = result.stdout.splitlines()
     assert Path(loaded_from).resolve().is_relative_to(Path(src).resolve())
     assert scipy_modules == "[]"
+
+
+def _loaded_after(*argv):
+    """satwiretap modules and concurrent.futures loaded by a fresh process
+    that imports satwiretap.cli and, given argv, runs that subcommand."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = f"satwiretap.cli.main({list(argv)!r} + ['--out', os.devnull]); " if argv else ""
+    probe = (
+        "import json, os, sys, satwiretap.cli; " + run +
+        "print(json.dumps([m for m in sys.modules "
+        "if m.startswith('satwiretap.') or m == 'concurrent.futures']))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return set(json.loads(result.stdout))
+
+
+def test_cli_import_loads_no_other_package_module():
+    assert _loaded_after() == {"satwiretap.cli"}
+
+
+def test_bound_loads_only_the_leakage_stack():
+    loaded = _loaded_after("bound", "--n", "1000", "--k-prime", "100")
+    assert loaded == {
+        "satwiretap.cli", "satwiretap.leakage", "satwiretap.channel",
+        "satwiretap.code", "satwiretap.quadrature",
+    }
+
+
+def test_reproduce_loads_neither_sim_nor_the_thread_pool():
+    loaded = _loaded_after("reproduce", "--figure", "10")
+    assert "satwiretap.figures" in loaded
+    assert "satwiretap.sim" not in loaded and "concurrent.futures" not in loaded
+
 
 # CSV cells as the subcommands produce them, plus text that needs quoting
 _CELLS = st.one_of(
