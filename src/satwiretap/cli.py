@@ -1,20 +1,23 @@
 """Command-line front end: every computation and figure dataset as CSV.
 
-Configuration precedence, highest first: explicit flags, then KEY=VALUE pairs
-from --config, then built-in defaults. Config keys are the flag names with
-underscores (gamma_g=0.3); values go through the same parsing as the flag.
-Output is CSV with a header row, comma separator, '.' decimals, to stdout or
---out. Exit codes: 0 success, 1 domain error (message on stderr), 2 usage.
+``_SUBCOMMANDS`` holds each subcommand's help line, flags and handler. A flag is
+``(flag, convert, default, help)``; ``convert`` reads VALUE in ``--flag VALUE`` or
+``--flag=VALUE`` and raises ValueError on a bad one. A unique prefix of a flag
+works; a VALUE may start with '-' only when it is a negative number. Flags beat
+KEY=VALUE pairs from --config (keys are flag names with underscores, gamma_g=0.3,
+read by the same converters), which beat the defaults. Output is CSV with a
+header row to stdout or --out. Exit codes: 0 success or -h/--help, 1 domain
+error (message on stderr), 2 usage (usage line and error on stderr).
 Each handler imports the package modules it uses when it is dispatched, so a
 process loads only what its subcommand needs (``bound`` never imports ``sim``).
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import math
 import sys
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -32,83 +35,38 @@ def _linspace_spec(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _channel_flags(sub: argparse.ArgumentParser, gamma_g_default: float, gamma_n_default: float):
-    sub.add_argument("--gamma-g", type=float, default=gamma_g_default)
-    sub.add_argument("--gamma-n", type=float, default=gamma_n_default)
-    sub.add_argument("--n0", type=float, default=1.0)
-    sub.add_argument("--e0", type=float, default=1.0)
+def _choice(*names):
+    """A converter that accepts only `names`, read as their type; its __name__ lists them."""
+
+    def convert(text: str):
+        value = type(names[0])(text)
+        if value not in names:
+            raise ValueError(text)
+        return value
+
+    convert.__name__ = "|".join(map(str, names))
+    return convert
 
 
-def _common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="KEY=VALUE config file; flags still win")
-    sub.add_argument("--out", help="write CSV here instead of stdout")
+def _switch(text: str) -> bool:
+    """The converter of a flag that takes no value; in a config file, 1/true/yes/on set it."""
+    return text.lower() in ("1", "true", "yes", "on")
 
 
-def _geometry_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--rho-b", type=float, default=1000.0, help="Alice-Bob distance, km")
-    sub.add_argument("--rho-e", type=float, default=1000.0, help="Alice-Eve distance, km")
-    sub.add_argument("--theta-e", type=float, default=2.0, help="Eve off-axis angle, degrees")
-    sub.add_argument("--r", type=float, default=2.0, help="Eve path-loss exponent")
-    sub.add_argument("--a", type=float, default=2.0, help="antenna decay exponent")
-    sub.add_argument("--mu", type=float, default=1.0, help="relative antenna gain in [0,1]")
-    sub.add_argument("--grid", help="region map: THETA_LO:HI:N,RATIO_LO:HI:N")
+def _channel(gamma_g: float, gamma_n: float) -> tuple:
+    return (
+        ("--gamma-g", float, gamma_g, "Eve's amplitude factor"),
+        ("--gamma-n", float, gamma_n, "Eve's noise-variance factor"),
+        ("--n0", float, 1.0, "Bob's noise variance"),
+        ("--e0", float, 1.0, "BPSK amplitude"),
+    )
 
 
-def _capacity_flags(sub: argparse.ArgumentParser):
-    _channel_flags(sub, 0.3, 1.0)
-    sub.add_argument("--snr-sweep", help="SNR sweep in dB: LO:HI:N")
-
-
-def _densities_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--side", choices=("bob", "eve"), default="bob")
-    _channel_flags(sub, 0.5, 1.0)
-    sub.add_argument("--points", type=int, default=401)
-
-
-def _bound_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--n", type=int, default=32400, help="block length")
-    sub.add_argument("--k-prime", type=int, default=None, help="sacrifice bits")
-    sub.add_argument("--rho-sec", type=float, default=None, help="wiretap rate k'/n")
-    _channel_flags(sub, 0.3, 2.0)
-    sub.add_argument("--s-grid", type=int, default=400, help="s samples in (0,1)")
-
-
-def _code_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--op", choices=("encode", "decode", "hash"), default=None)
-    sub.add_argument("--k", type=int, default=None, help="secret bits")
-    sub.add_argument("--k-prime", type=int, default=None, help="sacrifice bits")
-    sub.add_argument("--ecc", choices=("identity", "rep3", "hamming74"), default="identity")
-    sub.add_argument("--seed", default=None, help="hash seed, hex, k+k'-1 bits")
-    sub.add_argument("--message", default=None, help="encode: k bits, hex")
-    sub.add_argument("--sacrifice", default=None, help="encode: k' bits, hex")
-    sub.add_argument("--word", default=None, help="decode: n received bits / hash: k+k' bits")
-
-
-def _simulate_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--n", type=int, default=1)
-    sub.add_argument("--k", type=int, default=1)
-    sub.add_argument("--k-prime", type=int, default=0)
-    sub.add_argument("--ecc", choices=("identity", "rep3", "hamming74"), default="identity")
-    _channel_flags(sub, 0.5, 1.0)
-    sub.add_argument("--trials", type=int, default=100000)
-    sub.add_argument("--master-seed", type=int, default=1)
-    sub.add_argument("--hash-seed", default=None, help="fix the hash seed, hex")
-    sub.add_argument("--block-size", type=int, default=8192)
-    sub.add_argument("--threads", type=int, default=1, help="worker cap")
-
-
-def _oracle_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--n", type=int, default=4)
-    sub.add_argument("--k", type=int, default=1)
-    sub.add_argument("--k-prime", type=int, default=3)
-    sub.add_argument("--ecc", choices=("identity", "rep3", "hamming74"), default="identity")
-    sub.add_argument("--levels", type=int, default=8, help="Eve quantizer levels")
-    _channel_flags(sub, 0.3, 2.0)
-    sub.add_argument("--per-seed", action="store_true", help="emit one row per hash seed")
-
-
-def _reproduce_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--figure", type=int, choices=range(1, 12), default=None, metavar="1..11")
+_ECC = ("--ecc", _choice("identity", "rep3", "hamming74"), "identity", "inner code")
+_COMMON = (
+    ("--config", str, None, "KEY=VALUE config file; flags still win"),
+    ("--out", str, None, "write CSV here instead of stdout"),
+)
 
 
 def _load_config(path: str) -> Dict[str, str]:
@@ -125,24 +83,51 @@ def _load_config(path: str) -> Dict[str, str]:
     return pairs
 
 
-def _apply_config(sub: argparse.ArgumentParser, pairs: Dict[str, str]):
-    actions = {a.dest: a for a in sub._actions}
-    converted = {}
-    for key, value in pairs.items():
-        action = actions.get(key)
-        if action is None:
-            sub.error(f"unknown config key {key!r}")
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            converted[key] = value.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                converted[key] = action.type(value)
-            except ValueError:
-                kind = action.type.__name__
-                raise ValueError(f"config value {key}={value!r} is not a valid {kind}") from None
-        else:
-            converted[key] = value
-    sub.set_defaults(**converted)
+class _Usage(Exception):
+    """A usage error: main prints the usage line and this message, then exits 2."""
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _label(flag: str, convert) -> str:
+    return flag if convert is _switch else f"{flag} {convert.__name__}"
+
+
+def _usage(name: str, flags: Sequence[tuple]) -> str:
+    return f"usage: satwiretap {name} " + " ".join(f"[{_label(f, c)}]" for f, c, _, _ in flags)
+
+
+def _convert(where: str, convert, text: str, error=_Usage):
+    try:
+        return convert(text)
+    except ValueError:
+        raise error(f"{where} is not a valid {convert.__name__}") from None
+
+
+def _parse(flags: Sequence[tuple], argv: Sequence[str]) -> dict:
+    """The values argv sets, by dest."""
+    by_flag = {spec[0]: spec for spec in flags}
+    given, tokens = {}, iter(argv)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        found = [f for f in by_flag if len(flag) > 2 and f.startswith(flag)]
+        found = [flag] if flag in found else found  # an exact flag wins: --k beside --k-prime
+        if len(found) != 1:
+            what = f"ambiguous option: {flag} could match {', '.join(found)}"
+            raise _Usage(what if found else f"unrecognized arguments: {token}")
+        flag, convert = by_flag[found[0]][:2]
+        if convert is _switch:
+            if eq:
+                raise _Usage(f"argument {flag}: ignored explicit argument {text!r}")
+            text = "on"
+        elif not eq:
+            text = next(tokens, None)
+            if text is None or text[:1] == "-" and not text[1:2].isdigit():  # not a negative number
+                raise _Usage(f"argument {flag}: expected one argument")
+        given[_dest(flag)] = _convert(f"argument {flag}: {text!r}", convert, text)
+    return given
 
 
 def _emit(fields: List[str], rows: List[dict], out: Optional[str]) -> None:
@@ -281,12 +266,12 @@ def _hex_flag(flag: str, text: str, length: int):
 
 
 def _cmd_code(args) -> None:
-    from .code import bits_to_bpsk, bits_to_hex, decode, encode, hash_bits, make_ecc
+    from .code import _check_count, bits_to_bpsk, bits_to_hex, decode, encode, hash_bits, make_ecc
 
     if args.op is None:
         raise ValueError("--op is required (encode, decode, or hash)")
     _require(args, ["k", "k-prime", "seed"])
-    k, kp = args.k, args.k_prime
+    k, kp = _check_count("--k", args.k, 1), _check_count("--k-prime", args.k_prime, 0)
     ecc = make_ecc(args.ecc, k + kp)
     seed = _hex_flag("--seed", args.seed, k + kp - 1)
     if args.op == "encode":
@@ -367,69 +352,120 @@ def _cmd_reproduce(args) -> None:
     _emit(fields, rows, args.out)
 
 
-# name -> (help, flag builder, handler), in the order help lists them
+# name -> (help, flags, handler), in the order help lists them
 _SUBCOMMANDS = {
-    "geometry": ("gamma_g from link geometry, or a region map", _geometry_flags, _cmd_geometry),
-    "capacity": ("secrecy capacity point or SNR sweep", _capacity_flags, _cmd_capacity),
-    "densities": ("mixture pdf samples at Bob or Eve", _densities_flags, _cmd_densities),
-    "bound": ("leakage bound curve over s and its minimum", _bound_flags, _cmd_bound),
-    "code": ("encode/decode/hash with hex bit words", _code_flags, _cmd_code),
-    "simulate": ("Monte-Carlo reliability run on Bob's channel", _simulate_flags, _cmd_simulate),
-    "oracle": ("exact quantized leakage on a tiny instance", _oracle_flags, _cmd_oracle),
-    "reproduce": ("write the dataset behind one figure", _reproduce_flags, _cmd_reproduce),
+    "geometry": ("gamma_g from link geometry, or a region map", (
+        ("--rho-b", float, 1000.0, "Alice-Bob distance, km"),
+        ("--rho-e", float, 1000.0, "Alice-Eve distance, km"),
+        ("--theta-e", float, 2.0, "Eve off-axis angle, degrees"),
+        ("--r", float, 2.0, "Eve path-loss exponent"),
+        ("--a", float, 2.0, "antenna decay exponent"),
+        ("--mu", float, 1.0, "relative antenna gain in [0,1]"),
+        ("--grid", str, None, "region map: THETA_LO:HI:N,RATIO_LO:HI:N"),
+    ), _cmd_geometry),
+    "capacity": ("secrecy capacity point or SNR sweep", (
+        *_channel(0.3, 1.0),
+        ("--snr-sweep", str, None, "SNR sweep in dB: LO:HI:N"),
+    ), _cmd_capacity),
+    "densities": ("mixture pdf samples at Bob or Eve", (
+        ("--side", _choice("bob", "eve"), "bob", "whose channel output"),
+        *_channel(0.5, 1.0),
+        ("--points", int, 401, "samples"),
+    ), _cmd_densities),
+    "bound": ("leakage bound curve over s and its minimum", (
+        ("--n", int, 32400, "block length"),
+        ("--k-prime", int, None, "sacrifice bits"),
+        ("--rho-sec", float, None, "wiretap rate k'/n (0.1 without --k-prime)"),
+        *_channel(0.3, 2.0),
+        ("--s-grid", int, 400, "s samples in (0,1)"),
+    ), _cmd_bound),
+    "code": ("encode/decode/hash with hex bit words", (
+        ("--op", _choice("encode", "decode", "hash"), None, "operation"),
+        ("--k", int, None, "secret bits"),
+        ("--k-prime", int, None, "sacrifice bits"),
+        _ECC,
+        ("--seed", str, None, "hash seed, hex, k+k'-1 bits"),
+        ("--message", str, None, "encode: k bits, hex"),
+        ("--sacrifice", str, None, "encode: k' bits, hex"),
+        ("--word", str, None, "decode: n received bits / hash: k+k' bits"),
+    ), _cmd_code),
+    "simulate": ("Monte-Carlo reliability run on Bob's channel", (
+        ("--n", int, 1, "block length"),
+        ("--k", int, 1, "secret bits"),
+        ("--k-prime", int, 0, "sacrifice bits"),
+        _ECC,
+        *_channel(0.5, 1.0),
+        ("--trials", int, 100000, "frames"),
+        ("--master-seed", int, 1, "seed of every block's random stream"),
+        ("--hash-seed", str, None, "fix the hash seed, hex"),
+        ("--block-size", int, 8192, "frames per block"),
+        ("--threads", int, 1, "worker cap"),
+    ), _cmd_simulate),
+    "oracle": ("exact quantized leakage on a tiny instance", (
+        ("--n", int, 4, "block length"),
+        ("--k", int, 1, "secret bits"),
+        ("--k-prime", int, 3, "sacrifice bits"),
+        _ECC,
+        ("--levels", int, 8, "Eve quantizer levels"),
+        *_channel(0.3, 2.0),
+        ("--per-seed", _switch, False, "emit one row per hash seed"),
+    ), _cmd_oracle),
+    "reproduce": ("write the dataset behind one figure", (
+        ("--figure", _choice(*range(1, 12)), None, "figure number"),
+    ), _cmd_reproduce),
 }
-
-
-def build_parser(argv: Sequence[str] = ()):
-    """The argparse tree and its name -> subparser map.
-
-    When argv[0] names a subcommand only that subparser is built: argparse
-    would route argv to it anyway, and the top level has no option but -h.
-    Otherwise (help, no subcommand, an invalid one) all of them are built, so
-    the top-level help and the invalid-choice error list every subcommand.
-    """
-    parser = argparse.ArgumentParser(
-        prog="satwiretap",
-        description="keyless physical-layer secrecy toolkit for satellite links",
-    )
-    subs = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-    invoked = argv[0] if argv else None
-    names = [invoked] if invoked in _SUBCOMMANDS else _SUBCOMMANDS
-    for name in names:
-        help_text, add_flags, _ = _SUBCOMMANDS[name]
-        sub = subs.add_parser(name, help=help_text)
-        add_flags(sub)
-        _common_flags(sub)
-    return parser, subs.choices
+_TOP_USAGE = "usage: satwiretap SUBCOMMAND [--FLAG VALUE ...]"
+_TOP_HELP = f"{_TOP_USAGE}\n\nsubcommands (SUBCOMMAND --help lists its flags):\n" + "\n".join(
+    f"  {name:<10} {spec[0]}" for name, spec in _SUBCOMMANDS.items()
+)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, subparsers = build_parser(argv)
-    args, unknown = parser.parse_known_args(argv)
-    if args.command is None:
-        parser.print_help(sys.stderr)
+    if not argv:
+        print(_TOP_HELP, file=sys.stderr)
         return 2
-    if args.config:
-        try:
-            _apply_config(subparsers[args.command], _load_config(args.config))
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        args = parser.parse_args(argv)
-    elif unknown:
-        parser.parse_args(argv)  # exits 2 naming the unrecognized arguments
+    name, *rest = argv
+    if name in ("-h", "--help"):
+        print(_TOP_HELP)
+        raise SystemExit(0)
+    if name not in _SUBCOMMANDS:
+        names = ", ".join(map(repr, _SUBCOMMANDS))
+        print(f"{_TOP_USAGE}\nsatwiretap: error: argument SUBCOMMAND: "
+              f"invalid choice: {name!r} (choose from {names})", file=sys.stderr)
+        raise SystemExit(2)
+    help_line, flags, handler = _SUBCOMMANDS[name]
+    flags += _COMMON
+    if "-h" in rest or "--help" in rest:
+        print(f"{_usage(name, flags)}\n\n{help_line}\n")
+        print("flags (-h shows this; a unique prefix works):")
+        for flag, convert, default, text in flags:
+            note = "" if default is None else f" (default {default})"
+            print(f"  {_label(flag, convert):<30} {text}{note}")
+        raise SystemExit(0)
     try:
-        _SUBCOMMANDS[args.command][2](args)
-    except (ValueError, MemoryError) as exc:  # MemoryError: numpy refused an array size
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        given = _parse(flags, rest)
+        values = {_dest(flag): default for flag, _, default, _ in flags}
+        if given.get("config"):
+            try:
+                pairs = _load_config(given["config"])
+            except OSError as exc:
+                raise ValueError(f"cannot read config: {exc}") from None
+            converters = {_dest(flag): convert for flag, convert, _, _ in flags}
+            for key, value in pairs.items():
+                if key not in converters:
+                    raise _Usage(f"unknown config key {key!r}")
+                where = f"config value {key}={value!r}"
+                values[key] = _convert(where, converters[key], value, ValueError)
+        values.update(given)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # not a nan cell
+            handler(SimpleNamespace(**values))
+    except _Usage as exc:
+        print(f"{_usage(name, flags)}\nsatwiretap {name}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     except BrokenPipeError:
         return 0
-    except OSError as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:  # MemoryError: numpy refused a size
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

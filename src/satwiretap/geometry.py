@@ -10,6 +10,7 @@ protect.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -65,14 +66,24 @@ def beta(r: float, rho_b_km: float, rho_e_km: float) -> float:
 
     For r=2 this is the plain distance ratio rho_B/rho_E. For r>2 the value
     carries mixed units and is meaningful only inside gamma_g, which is how it
-    is composed here.
+    is composed here. Where rho_B^2 / rho_E^r leaves the normal float range it
+    is exp(ln rho_B - (r/2) ln rho_E); past the float range, ValueError.
     """
     _require_finite(r=r, rho_b_km=rho_b_km, rho_e_km=rho_e_km)
     if rho_b_km <= 0 or rho_e_km <= 0:
         raise ValueError("distances must be strictly positive")
     if r < 2:
         raise ValueError(f"propagation exponent r must be >= 2, got {r}")
-    return math.sqrt(rho_b_km**2 / rho_e_km**r)
+    try:
+        ratio = rho_b_km**2 / rho_e_km**r
+    except (OverflowError, ZeroDivisionError):  # a power left the float range
+        ratio = math.inf
+    if sys.float_info.min <= ratio < math.inf:
+        return math.sqrt(ratio)
+    log_beta = math.log(rho_b_km) - 0.5 * r * math.log(rho_e_km)
+    if log_beta > math.log(sys.float_info.max):
+        raise ValueError(f"beta overflows a float: r={r}, rho_b_km={rho_b_km}, rho_e_km={rho_e_km}")
+    return math.exp(log_beta)
 
 
 def alpha(theta_e_deg: float, a: float) -> float:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satwiretap.geometry import (
     GeometryConfig,
@@ -38,6 +40,22 @@ class TestBeta:
     def test_small_exponent_rejected(self):
         with pytest.raises(ValueError):
             beta(1.5, 1.0, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 600), st.integers(1, 10**160), st.integers(1, 10**160))
+    def test_int_and_float_inputs_agree(self, r, rho_b, rho_e):
+        # int powers are exact where float powers overflow or underflow
+        exact = beta(r, rho_b, rho_e)
+        assert beta(float(r), float(rho_b), float(rho_e)) == pytest.approx(exact, rel=1e-11)
+
+    def test_overflowing_powers_take_the_log_form(self):
+        assert beta(400, 1000, 2000) == beta(400.0, 1000.0, 2000.0) == 0.0
+        assert beta(2.0, 1e200, 1.0) == pytest.approx(1e200, rel=1e-13)
+        assert beta(3.0, 7.0, 1e110) == pytest.approx(7e-165, rel=1e-13)
+
+    def test_beta_past_the_float_range_names_its_inputs(self):
+        with pytest.raises(ValueError, match=r"r=2.0, rho_b_km=1e\+308, rho_e_km=1e-10"):
+            beta(2.0, 1e308, 1e-10)
 
 
 class TestAlpha:
