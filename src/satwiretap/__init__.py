@@ -25,24 +25,23 @@ _EXPORTS = {
         "secrecy_capacity",
     ),
     "channel": (
-        "WiretapChannelParams", "density_bob", "density_eve", "eve_hard_decision_crossover",
-        "mixture_density_bob", "mixture_density_eve", "sample_bob", "sample_eve",
+        "WiretapChannelParams", "density_bob", "density_eve", "mixture_density_bob",
+        "mixture_density_eve",
     ),
     "code": (
         "DecodeFailure", "EccScheme", "Hamming74Code", "IdentityCode", "Repetition3Code",
-        "bits_to_bpsk", "bits_to_hex", "coset_preimage_size", "decode", "encode",
-        "hard_decision", "hash_bits", "hex_to_bits", "make_ecc", "toeplitz_from_seed",
-        "toeplitz_mul_fast", "toeplitz_mul_naive",
+        "bits_to_bpsk", "bits_to_hex", "decode", "encode", "hard_decision", "hash_bits",
+        "hex_to_bits", "make_ecc", "toeplitz_apply_batch", "toeplitz_mul_fast",
     ),
     "geometry": ("GeometryConfig", "alpha", "beta", "eve_stronger", "gamma_g", "protected_region_map"),
     "leakage": (
-        "CodeParams", "LeakageBound", "e0", "e0_max", "exponent_margin", "leakage_bound",
-        "min_leakage_bound", "noiseless_main_bounds", "nonuniform_seed_bound", "psi",
-        "renyi_entropy",
+        "CodeParams", "LeakageBound", "e0", "e0_max_s1_limit", "exponent_margin",
+        "leakage_bound", "min_leakage_bound", "noiseless_main_bounds", "nonuniform_seed_bound",
+        "psi", "renyi_entropy",
     ),
     "sim": (
-        "EveQuantizer", "LeakageOracleReport", "MiEstimate", "ReliabilityReport",
-        "exact_leakage", "make_eve_quantizer", "mc_mutual_info", "run_reliability",
+        "EveQuantizer", "LeakageOracleReport", "ReliabilityReport", "exact_leakage",
+        "make_eve_quantizer", "run_reliability",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

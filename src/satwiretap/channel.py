@@ -20,13 +20,11 @@ __all__ = [
     "density_eve",
     "mixture_density_bob",
     "mixture_density_eve",
-    "sample_bob",
-    "sample_eve",
-    "eve_hard_decision_crossover",
 ]
 
 _BPSK = (1, -1)
 _SQRT_HALF = math.sqrt(0.5)
+_SCALE_CAP = 1e100
 
 
 def ndtr(x: float) -> float:
@@ -58,6 +56,13 @@ class WiretapChannelParams:
     e0 : float
         Symbol amplitude scale, > 0 (kept symbolic so conditions involving
         sqrt(n0)/e0 remain testable away from the unit-scale case).
+
+    Eve's noise variance gamma_n*n0 must not underflow to 0, and each side's
+    amplitude, noise standard deviation and amplitude/sigma ratio r must be
+    at most 1e100. Under that cap every kernel stays finite: r*(r+12) in
+    quadrature.llr_integral, and on the density and quantizer grids the span
+    2*(a + 4*sigma) and the squared offsets from the mean, at most (6e100)^2,
+    or (2r + 4)^2/2 once divided by 2*sigma^2.
     """
 
     gamma_g: float
@@ -78,6 +83,22 @@ class WiretapChannelParams:
             raise ValueError(f"n0 must be > 0, got {self.n0}")
         if self.e0 <= 0:
             raise ValueError(f"e0 must be > 0, got {self.e0}")
+        if self.eve_noise_var == 0.0:
+            raise ValueError(
+                f"gamma_n*n0 underflows to 0 (gamma_n = {self.gamma_n}, n0 = {self.n0})"
+            )
+        bob_sigma, eve_sigma = math.sqrt(self.n0), math.sqrt(self.eve_noise_var)
+        derived = (
+            ("e0", self.e0),
+            ("sqrt(n0)", bob_sigma),
+            ("e0/sqrt(n0)", self.e0 / bob_sigma),
+            ("gamma_g*e0", self.eve_amplitude),
+            ("sqrt(gamma_n*n0)", eve_sigma),
+            ("gamma_g*e0/sqrt(gamma_n*n0)", self.eve_amplitude / eve_sigma),
+        )
+        for name, value in derived:
+            if value > _SCALE_CAP:
+                raise ValueError(f"{name} must be <= {_SCALE_CAP:g}, got {value:g}")
 
     @property
     def bob_amplitude(self) -> float:
@@ -135,36 +156,3 @@ def mixture_density_bob(y, params: WiretapChannelParams):
 def mixture_density_eve(z, params: WiretapChannelParams):
     """Density of Z under the uniform input: half-half Gaussian mixture."""
     return 0.5 * (density_eve(z, 1, params) + density_eve(z, -1, params))
-
-
-def sample_bob(x, params: WiretapChannelParams, rng: np.random.Generator, size=None):
-    """Draw Y = e0*x + sqrt(n0)*G with standard normal G from `rng`.
-
-    `x` may be a scalar symbol or an ndarray of symbols; with an array input
-    and size=None one sample per symbol is returned.
-    """
-    x = np.asarray(x, dtype=float)
-    if size is None:
-        size = x.shape
-    noise = rng.standard_normal(size)
-    return params.bob_amplitude * x + math.sqrt(params.bob_noise_var) * noise
-
-
-def sample_eve(x, params: WiretapChannelParams, rng: np.random.Generator, size=None):
-    """Draw Z = gamma_g*e0*x + sqrt(gamma_n*n0)*G' from `rng`."""
-    x = np.asarray(x, dtype=float)
-    if size is None:
-        size = x.shape
-    noise = rng.standard_normal(size)
-    return params.eve_amplitude * x + math.sqrt(params.eve_noise_var) * noise
-
-
-def eve_hard_decision_crossover(params: WiretapChannelParams) -> float:
-    """Crossover probability of Eve's hard-decision BSC surrogate.
-
-    Thresholding Z at zero turns Eve's channel into a BSC with crossover
-    Q(gamma_g*e0 / sqrt(gamma_n*n0)); gamma_g=0 gives the pure-noise value
-    one half.
-    """
-    ratio = params.eve_amplitude / math.sqrt(params.eve_noise_var)
-    return ndtr(-ratio)

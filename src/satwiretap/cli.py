@@ -466,7 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         return 0
     except (ValueError, ArithmeticError, MemoryError, OSError) as exc:  # MemoryError: numpy refused a size
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -9,7 +9,7 @@ the ECC-decoded word. T @ x is an XOR of sliding seed windows, computed at
 every k and k' by one kernel on rows packed into uint64 words
 (_toeplitz_words): each window is a word-aligned slice of one of at most 64
 bit-shifts of the seed. toeplitz_apply_batch packs bits, runs it and unpacks;
-toeplitz_mul_naive is the dense-matmul reference tests compare it against.
+the tests compare it against a dense-matmul reference in tests/oracles.py.
 Desk-scale ECC stand-ins (identity, triple repetition, Hamming(7,4)) substitute
 for production LDPC/Polar codes; all decide hard first and decode bits.
 
@@ -26,13 +26,10 @@ import numpy as np
 
 __all__ = [
     "DecodeFailure",
-    "bits_from_ints",
     "bits_to_hex",
     "hex_to_bits",
     "bits_to_bpsk",
     "hard_decision",
-    "toeplitz_from_seed",
-    "toeplitz_mul_naive",
     "toeplitz_mul_fast",
     "toeplitz_apply_batch",
     "hash_bits",
@@ -41,10 +38,8 @@ __all__ = [
     "Repetition3Code",
     "Hamming74Code",
     "make_ecc",
-    "ECC_NAMES",
     "encode",
     "decode",
-    "coset_preimage_size",
 ]
 
 
@@ -123,37 +118,12 @@ def _check_seed(seed: np.ndarray, k: int, k_prime: int) -> np.ndarray:
     return seed
 
 
-def toeplitz_from_seed(seed, k: int, k_prime: int) -> np.ndarray:
-    """Build the k x k' Toeplitz matrix with entry(i, j) = seed[i - j + k' - 1].
-
-    Entries are constant along diagonals; the first row is seed[k'-1::-1] and
-    the first column seed[k'-1:].
-    """
-    if k < 1 or k_prime < 0:
-        raise ValueError("need k >= 1 and k_prime >= 0")
-    seed = _check_seed(seed, k, k_prime)
-    if k_prime == 0:
-        return np.zeros((k, 0), dtype=np.uint8)
-    rows = np.arange(k)[:, None]
-    cols = np.arange(k_prime)[None, :]
-    return seed[rows - cols + k_prime - 1]
-
-
-def toeplitz_mul_naive(T: np.ndarray, x) -> np.ndarray:
-    """Reference product T @ x over F2 via plain integer matmul."""
-    x = bits_from_ints(x)
-    if T.shape[1] != x.size:
-        raise ValueError(f"matrix is {T.shape}, input has {x.size} bits")
-    if x.size == 0:
-        return np.zeros(T.shape[0], dtype=np.uint8)
-    return (T.astype(np.int64) @ x.astype(np.int64) & 1).astype(np.uint8)
-
-
 def toeplitz_mul_fast(seed, x, k: int, k_prime: int) -> np.ndarray:
     """T(seed) @ x over F2 for one word: the B = 1 case of toeplitz_apply_batch.
 
-    Validates the seed and input lengths. Equals
-    toeplitz_mul_naive(toeplitz_from_seed(seed, k, k_prime), x) bit for bit.
+    Validates the seed and input lengths. Equals the dense product of
+    tests/oracles.py, toeplitz_mul_naive(toeplitz_from_seed(seed, k, k_prime), x),
+    bit for bit.
     """
     if k < 1 or k_prime < 0:
         raise ValueError("need k >= 1 and k_prime >= 0")
@@ -397,26 +367,6 @@ def decode(y, seed, ecc: EccScheme, k: int) -> np.ndarray:
         raise ValueError(f"k = {k} exceeds ECC message length {ecc.message_length}")
     v = bits_from_ints(ecc.decode(np.asarray(y, dtype=float)))
     return hash_bits(v, seed, k, k_prime)
-
-
-def coset_preimage_size(ecc: EccScheme, seed, m) -> int:
-    """Count the inputs (m_hat, l) whose hash equals m; always 2^k'.
-
-    Exhaustive enumeration, so the ECC message length is capped at 12 bits.
-    """
-    m = bits_from_ints(m)
-    total = ecc.message_length
-    if total > 12:
-        raise ValueError(f"exhaustive enumeration capped at 12 bits, got {total}")
-    k = m.size
-    k_prime = total - k
-    if k_prime < 0:
-        raise ValueError("message longer than the ECC input")
-    count = 0
-    for v in _enumerate_bits(total):
-        if np.array_equal(hash_bits(v, seed, k, k_prime), m):
-            count += 1
-    return count
 
 
 def _enumerate_bits(length: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from .capacity import capacity_curves, cs_gamma_sweep
 from .channel import WiretapChannelParams, density_eve, mixture_density_eve
 from .channel import density_bob, mixture_density_bob
 from .geometry import beta, protected_region_map
-from .leakage import CodeParams, _e0_nats, _eve_ratio, _min_bound_rows
+from .leakage import CodeParams, _min_bound_rows, e0
 
 Rows = Tuple[List[str], List[dict]]
 
@@ -153,8 +153,7 @@ def figure_9() -> Rows:
         for gn in (1.0, 2.0, 4.0):
             # E0_max is the uniform-input E0 (symmetric channel): one call per channel
             params = WiretapChannelParams(gamma_g=gg, gamma_n=gn)
-            values = _e0_nats(s_grid, _eve_ratio(params))
-            for s, value in zip(s_grid.tolist(), values.tolist()):
+            for s, value in zip(s_grid.tolist(), e0(s_grid, params).tolist()):
                 rows.append({"gamma_g": gg, "gamma_n": gn, "s": s, "e0_max_nats": value})
     return fields, rows
 

@@ -9,10 +9,10 @@ Everything internal is computed in nats and in log domain; the single
 conversion to log2 happens at each public boundary.
 
 psi and E0 are expectations over Eve's log-likelihood ratio, so they depend
-on the channel only through r = a/sigma. E0 is evaluated in the folded form
-E0(s) = s*ln2 + ln(Phi(r) + J(s)), with Phi from channel.ndtr and J from
-quadrature.llr_integral, for a whole array of s in one call; the same call
-can also return E0' and E0'', differentiated under the integral.
+on the channel only through r = a/sigma. Both take the folded form
+s*ln2 + ln(Phi(r) + J(s)), with Phi from channel.ndtr and J from
+quadrature.llr_integral, for a whole array of s in one call; for E0 the same
+call can also return E0' and E0'', differentiated under the integral.
 
 min_leakage_bound scans its s-grid once and then runs a bracketed Newton
 iteration on s times the derivative of the objective,
@@ -41,7 +41,6 @@ __all__ = [
     "LeakageBound",
     "psi",
     "e0",
-    "e0_max",
     "e0_max_s1_limit",
     "leakage_bound",
     "min_leakage_bound",
@@ -102,24 +101,48 @@ def _eve_ratio(params: WiretapChannelParams) -> float:
     return params.eve_amplitude / math.sqrt(params.eve_noise_var)
 
 
-def _e0_nats(s, r: float, derivatives: bool = False):
-    """E0(s) = s*ln2 + ln(Phi(r) + J(s)) for scalar or array s in (0, 1).
+def _s_values(name: str, s, closed: bool = False) -> np.ndarray:
+    """s as a float array; ValueError naming `name` unless all s lie in (0, 1), (0, 1] if closed."""
+    values = np.asarray(s, dtype=float)
+    inside = (values > 0.0) & ((values <= 1.0) if closed else (values < 1.0))
+    if not inside.all():
+        bracket = "]" if closed else ")"
+        raise ValueError(f"{name} requires s in (0, 1{bracket}, got {values[~inside].flat[0]}")
+    return values
+
+
+def _exponent_nats(s: np.ndarray, r: float, integrand, t, derivatives: bool = False):
+    """F(s) = s*ln2 + ln(M), M = 1 + J - Phi(-r) and J = llr_integral(r, integrand, t).
+
+    The folded form of psi and E0, exactly 0 at r = 0 (Eve sees pure noise).
+    With `derivatives` the integrand stacks those of dJ/ds and d2J/ds2 behind
+    J's, and the result is (F, F' = ln2 + J'/M, F'' = J''/M - (J'/M)^2).
+    """
+    if r == 0.0:
+        zero = np.zeros_like(s)
+        return (zero, zero, zero) if derivatives else zero
+    j = llr_integral(r, integrand, t)
+    excess = (j[0] if derivatives else j) - ndtr(-r)
+    value = s * _LN2 + np.log1p(excess)
+    if not derivatives:
+        return value
+    ratio = j[1] / (1.0 + excess)
+    return value, _LN2 + ratio, j[2] / (1.0 + excess) - ratio * ratio
+
+
+def _e0_nats(s: np.ndarray, r: float, derivatives: bool = False):
+    """E0(s) = s*ln2 + ln(Phi(r) + J(s)) for an array of s in (0, 1).
 
     J = integral over z >= 0 of W+(z) * h with h = e^(t*l) - 1, t = 1 - s,
     x = L/t >= 0 and l = ln(1 + e^(-x)): the part of E0's integral that the
     folded LLR adds to Phi(r). With `derivatives`, returns (E0, E0', E0'')
-    from the same integral call. With sigma = e^(-x)/(1 + e^(-x)),
+    (see _exponent_nats). With sigma = e^(-x)/(1 + e^(-x)),
 
         dh/dt   = (1 + h) * (l + x*sigma),
         d2h/dt2 = (1 + h) * ((l + x*sigma)^2 + x^2*sigma*(1 - sigma)/t),
 
-    J_s = -J_t and J_ss = J_tt, so with M = Phi(r) + J,
-    E0' = ln2 + J_s/M and E0'' = J_ss/M - (J_s/M)^2.
+    and d/ds = -d/dt.
     """
-    s = np.asarray(s, dtype=float)
-    if r == 0.0:
-        zero = np.zeros_like(s)
-        return (zero, zero, zero) if derivatives else zero
     t = 1.0 - s
     col = t[..., None]
 
@@ -135,58 +158,42 @@ def _e0_nats(s, r: float, derivatives: bool = False):
         sigma = tail / (1.0 + tail)
         slope = ell + x * sigma
         curvature = slope * slope + x * x * sigma * (1.0 - sigma) / col
-        return np.stack((h, (1.0 + h) * slope, (1.0 + h) * curvature))
+        return np.stack((h, -(1.0 + h) * slope, (1.0 + h) * curvature))
 
-    j = llr_integral(r, integrand, t)
-    if not derivatives:
-        return s * _LN2 + np.log1p(j - ndtr(-r))
-    j, j_t, j_tt = j
-    excess = j - ndtr(-r)
-    ratio = j_t / (1.0 + excess)
-    return s * _LN2 + np.log1p(excess), _LN2 - ratio, j_tt / (1.0 + excess) - ratio * ratio
+    return _exponent_nats(s, r, integrand, t, derivatives)
 
 
-def psi(s: float, params: WiretapChannelParams) -> float:
+def psi(s, params: WiretapChannelParams):
     """Leakage exponent psi(s) = ln int sum_x q(x) W(z|x)^(1+s) W_mix(z)^(-s) dz.
 
     Uniform input q. Valid for s in (0, 1]; psi(s)/s -> I(X;Z) in nats as
     s -> 0. Computed as s*ln2 + ln E[(1 + e^(-L))^(-s)] over Eve's LLR L,
-    folded onto L >= 0 like E0.
+    folded onto L >= 0 like E0. A scalar s gives a float, an array of s an
+    array from one kernel call.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"psi requires s in (0, 1], got {s}")
-    r = _eve_ratio(params)
-    if r == 0.0:
-        return 0.0
+    s = _s_values("psi", s, closed=True)
+    col = s[..., None]
 
     def excess(llr):
         # (1 + e^-L)^-s * (1 + e^(-(1+s)L)) - 1: both signs of L at once
-        log_lead = -s * np.log1p(np.exp(-llr))
-        return np.expm1(log_lead) + np.exp(log_lead - (1.0 + s) * llr)
+        log_lead = -col * np.log1p(np.exp(-llr))
+        return np.expm1(log_lead) + np.exp(log_lead - (1.0 + col) * llr)
 
-    return s * _LN2 + math.log1p(float(llr_integral(r, excess)) - ndtr(-r))
+    value = _exponent_nats(s, _eve_ratio(params), excess, np.ones_like(s))  # t = 1 for each s
+    return value if value.ndim else float(value)
 
 
-def e0(s: float, params: WiretapChannelParams) -> float:
+def e0(s, params: WiretapChannelParams):
     """Exponent E0(s) = ln int (sum_x q(x) W(z|x)^(1/(1-s)))^(1-s) dz, in nats.
 
-    Uniform input q. Valid for s in (0, 1); the power 1/(1-s) diverges at
-    s=1 (see e0_max_s1_limit for the analytic endpoint). The properly
-    normalized Eve density is used throughout, which guarantees E0 -> 0 as
-    s -> 0.
+    Uniform input q, which maximizes E0 on this symmetric channel: this is the
+    bound's E0_max. Valid for s in (0, 1); the power 1/(1-s) diverges at s=1
+    (see e0_max_s1_limit for the analytic endpoint). The properly normalized
+    Eve density is used throughout, which guarantees E0 -> 0 as s -> 0. A
+    scalar s gives a float, an array of s an array from one kernel call.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"e0 requires s in (0, 1), got {s}")
-    return float(_e0_nats(s, _eve_ratio(params)))
-
-
-def e0_max(s: float, params: WiretapChannelParams) -> float:
-    """E0 maximized over the input distribution.
-
-    The eavesdropper channel is symmetric, so the maximum is attained at the
-    uniform input, which is what e0 evaluates.
-    """
-    return e0(s, params)
+    value = _e0_nats(_s_values("e0", s), _eve_ratio(params))
+    return value if value.ndim else float(value)
 
 
 def e0_max_s1_limit(params: WiretapChannelParams) -> float:
@@ -205,10 +212,8 @@ def leakage_bound(s: float, code: CodeParams, params: WiretapChannelParams) -> f
     Evaluated entirely in log domain, so block lengths with |exponent| up to
     about 1e6 stay finite. Linear in k' with slope -s when expressed in bits.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"leakage_bound requires s in (0, 1), got {s}")
-    nats = -math.log(s) + code.n * e0_max(s, params) - s * code.k_prime * _LN2
-    return nats / _LN2
+    _s_values("leakage_bound", s)
+    return float(_bound_bits(s, e0(s, params), code.n, code.k_prime))
 
 
 def _bound_bits(s, e0_nats, n: int, k_prime):
@@ -333,11 +338,10 @@ def noiseless_main_bounds(
     and tight <= relaxed always since ln(1+x) <= x. Both are evaluated in log
     domain; for very negative exponents ln(1+x) ~ x makes the two coincide.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"noiseless_main_bounds requires s in (0, 1], got {s}")
-    if n < 1:
-        raise ValueError(f"block length n must be >= 1, got {n}")
-    if not 0 <= k_prime <= n:
+    _s_values("noiseless_main_bounds", s, closed=True)
+    n = _check_count("block length n", n, 1)
+    k_prime = _check_count("k_prime", k_prime, 0)
+    if k_prime > n:
         raise ValueError(f"k_prime must lie in [0, n], got {k_prime}")
     lx = n * psi(s, params) - s * k_prime * _LN2
     relaxed = (-math.log(s) + lx) / _LN2
@@ -386,17 +390,15 @@ def nonuniform_seed_bound(
     exactly. When `code` is given, the support size of `seed_dist` must be
     2^k_prime, tying the distribution to the declared code dimensions.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"nonuniform_seed_bound requires s in (0, 1), got {s}")
-    if n < 1:
-        raise ValueError(f"block length n must be >= 1, got {n}")
+    _s_values("nonuniform_seed_bound", s)
+    n = _check_count("block length n", n, 1)
     if code is not None and len(seed_dist) != 2**code.k_prime:
         raise ValueError(
             f"seed_dist has {len(seed_dist)} outcomes, expected 2^{code.k_prime}"
         )
-    h = renyi_entropy(seed_dist, 1.0 + s)
-    nats = -math.log(s) + n * e0_max(s, params) - s * h
-    return nats / _LN2
+    # H_{1+s}(L) in bits takes the place of k'
+    h_bits = renyi_entropy(seed_dist, 1.0 + s) / _LN2
+    return float(_bound_bits(s, e0(s, params), n, h_bits))
 
 
 def exponent_margin(s: float, code: CodeParams, params: WiretapChannelParams) -> float:
@@ -405,6 +407,5 @@ def exponent_margin(s: float, code: CodeParams, params: WiretapChannelParams) ->
     Positive margin means the leakage bound decays exponentially in n at this
     s; zero or negative means the sacrifice rate is too small at this s.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"exponent_margin requires s in (0, 1), got {s}")
-    return (code.k_prime / code.n) * _LN2 - e0_max(s, params) / s
+    _s_values("exponent_margin", s)
+    return (code.k_prime / code.n) * _LN2 - e0(s, params) / s

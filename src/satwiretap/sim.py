@@ -12,7 +12,6 @@ must sit below any valid bound on the continuous channel). It sweeps the
 so seeds sharing their last bits share the work above them: k' levels of
 2^(2k+k'-1) * levels^n additions of nonnegative probabilities, against
 2^(2k+2k'-1) * levels^n table reads for a separate gather per seed.
-mc_mutual_info is a sampling cross-check for the BI-AWGN quadrature.
 
 Determinism: every stochastic routine is driven by a master seed; trial blocks
 use substreams keyed by (master_seed, block_index), so results are identical
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -47,8 +46,6 @@ __all__ = [
     "make_eve_quantizer",
     "LeakageOracleReport",
     "exact_leakage",
-    "MiEstimate",
-    "mc_mutual_info",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -463,43 +460,3 @@ def exact_leakage(
         bound_log2=bound.log2_bound,
         bound_bits=bound_bits,
     )
-
-
-class MiEstimate(NamedTuple):
-    bits: float
-    stderr: float
-    samples: int
-
-
-def mc_mutual_info(
-    amplitude: float, noise_var: float, samples: int, master_seed: int
-) -> MiEstimate:
-    """Monte-Carlo BI-AWGN mutual information in bits with its standard error.
-
-    Sample average of log2(W(y|x)/Wbar(y)) over uniform inputs; an independent
-    cross-check for the quadrature-based capacity routine.
-    """
-    samples = _check_count("samples", samples, 10_000)
-    master_seed = _check_count("master_seed", master_seed, 0)
-    if not (math.isfinite(noise_var) and noise_var > 0.0):
-        raise ValueError(f"noise_var must be finite and positive, got {noise_var}")
-    if not (math.isfinite(amplitude) and amplitude >= 0.0):
-        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
-    rng = np.random.default_rng(master_seed)
-    chunk = 1 << 20
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    ln2 = math.log(2.0)
-    while done < samples:
-        count = min(chunk, samples - done)
-        x = 1.0 - 2.0 * rng.integers(0, 2, size=count)
-        y = amplitude * x + math.sqrt(noise_var) * rng.standard_normal(count)
-        u = 2.0 * amplitude * y * x / noise_var
-        terms = 1.0 - np.logaddexp(0.0, -u) / ln2
-        total += float(terms.sum())
-        total_sq += float(np.square(terms).sum())
-        done += count
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return MiEstimate(bits=mean, stderr=math.sqrt(var / samples), samples=samples)

@@ -1,0 +1,105 @@
+"""Test oracles: dense and brute-force references that the package's fast paths
+are checked against, and a Monte-Carlo cross-check of the capacity quadrature.
+
+None of this is used by the package itself.
+"""
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from satwiretap.code import (
+    EccScheme,
+    _check_count,
+    _check_seed,
+    _enumerate_bits,
+    bits_from_ints,
+    hash_bits,
+)
+
+
+def toeplitz_from_seed(seed, k: int, k_prime: int) -> np.ndarray:
+    """Build the k x k' Toeplitz matrix with entry(i, j) = seed[i - j + k' - 1].
+
+    Entries are constant along diagonals; the first row is seed[k'-1::-1] and
+    the first column seed[k'-1:].
+    """
+    if k < 1 or k_prime < 0:
+        raise ValueError("need k >= 1 and k_prime >= 0")
+    seed = _check_seed(seed, k, k_prime)
+    if k_prime == 0:
+        return np.zeros((k, 0), dtype=np.uint8)
+    rows = np.arange(k)[:, None]
+    cols = np.arange(k_prime)[None, :]
+    return seed[rows - cols + k_prime - 1]
+
+
+def toeplitz_mul_naive(T: np.ndarray, x) -> np.ndarray:
+    """Reference product T @ x over F2 via plain integer matmul."""
+    x = bits_from_ints(x)
+    if T.shape[1] != x.size:
+        raise ValueError(f"matrix is {T.shape}, input has {x.size} bits")
+    if x.size == 0:
+        return np.zeros(T.shape[0], dtype=np.uint8)
+    return (T.astype(np.int64) @ x.astype(np.int64) & 1).astype(np.uint8)
+
+
+def coset_preimage_size(ecc: EccScheme, seed, m) -> int:
+    """Count the inputs (m_hat, l) whose hash equals m; always 2^k'.
+
+    Exhaustive enumeration, so the ECC message length is capped at 12 bits.
+    """
+    m = bits_from_ints(m)
+    total = ecc.message_length
+    if total > 12:
+        raise ValueError(f"exhaustive enumeration capped at 12 bits, got {total}")
+    k = m.size
+    k_prime = total - k
+    if k_prime < 0:
+        raise ValueError("message longer than the ECC input")
+    count = 0
+    for v in _enumerate_bits(total):
+        if np.array_equal(hash_bits(v, seed, k, k_prime), m):
+            count += 1
+    return count
+
+
+class MiEstimate(NamedTuple):
+    bits: float
+    stderr: float
+    samples: int
+
+
+def mc_mutual_info(
+    amplitude: float, noise_var: float, samples: int, master_seed: int
+) -> MiEstimate:
+    """Monte-Carlo BI-AWGN mutual information in bits with its standard error.
+
+    Sample average of log2(W(y|x)/Wbar(y)) over uniform inputs; an independent
+    cross-check for the quadrature-based capacity routine.
+    """
+    samples = _check_count("samples", samples, 10_000)
+    master_seed = _check_count("master_seed", master_seed, 0)
+    if not (math.isfinite(noise_var) and noise_var > 0.0):
+        raise ValueError(f"noise_var must be finite and positive, got {noise_var}")
+    if not (math.isfinite(amplitude) and amplitude >= 0.0):
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
+    rng = np.random.default_rng(master_seed)
+    chunk = 1 << 20
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    ln2 = math.log(2.0)
+    while done < samples:
+        count = min(chunk, samples - done)
+        x = 1.0 - 2.0 * rng.integers(0, 2, size=count)
+        y = amplitude * x + math.sqrt(noise_var) * rng.standard_normal(count)
+        u = 2.0 * amplitude * y * x / noise_var
+        terms = 1.0 - np.logaddexp(0.0, -u) / ln2
+        total += float(terms.sum())
+        total_sq += float(np.square(terms).sum())
+        done += count
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return MiEstimate(bits=mean, stderr=math.sqrt(var / samples), samples=samples)

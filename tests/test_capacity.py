@@ -16,7 +16,8 @@ from satwiretap.capacity import (
     secrecy_capacity,
 )
 from satwiretap.channel import WiretapChannelParams
-from satwiretap.sim import mc_mutual_info
+
+from oracles import mc_mutual_info
 
 
 def _params(gg, gn, n0=1.0, e0=1.0):

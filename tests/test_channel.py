@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,14 +11,15 @@ from satwiretap.channel import (
     WiretapChannelParams,
     density_bob,
     density_eve,
-    eve_hard_decision_crossover,
     mixture_density_bob,
     mixture_density_eve,
     ndtr,
-    sample_bob,
-    sample_eve,
 )
+from satwiretap.capacity import secrecy_capacity
+from satwiretap.figures import density_rows
+from satwiretap.leakage import e0, psi
 from satwiretap.quadrature import integrate
+from satwiretap.sim import make_eve_quantizer
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -53,6 +55,45 @@ class TestParams:
         base.update(kwargs)
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             WiretapChannelParams(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"e0": 1e101}, "e0"),
+            ({"n0": 1e201}, "sqrt(n0)"),
+            ({"e0": 1e-50, "n0": 1e-301}, "e0/sqrt(n0)"),
+            ({"gamma_g": 1e308}, "gamma_g*e0"),
+            ({"gamma_n": 1e201}, "sqrt(gamma_n*n0)"),
+            ({"gamma_g": 1e-10, "gamma_n": 1e-300, "n0": 1e-1}, "gamma_g*e0/sqrt(gamma_n*n0)"),
+            ({"gamma_n": 1e-200, "n0": 1e-200}, "gamma_n*n0 underflows"),
+        ],
+    )
+    def test_scales_past_the_cap_name_their_field(self, kwargs, field):
+        base = dict(gamma_g=0.5, gamma_n=1.0, n0=1.0, e0=1.0)
+        base.update(kwargs)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            WiretapChannelParams(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"gamma_g": 1e100},
+            {"e0": 1e100},
+            {"gamma_g": 1e100, "gamma_n": 1e-100, "n0": 1e100},
+            {"gamma_g": 1e-10, "gamma_n": 1e-180, "n0": 1e-20},
+            {"gamma_g": 0.0, "gamma_n": 1e-300, "n0": 1e-20},
+        ],
+    )
+    def test_kernels_stay_finite_up_to_the_cap(self, kwargs):
+        base = dict(gamma_g=0.5, gamma_n=1.0, n0=1.0, e0=1.0)
+        base.update(kwargs)
+        p = WiretapChannelParams(**base)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cells = [secrecy_capacity(p).c_s, e0(0.5, p), psi(1.0, p)]
+            for side in ("bob", "eve"):
+                cells += density_rows(side, p, points=9)[1][4].values()
+            cells += make_eve_quantizer(p).level_probs(1.0, p).tolist()
+        assert all(math.isfinite(cell) for cell in cells)
 
 
 class TestDensities:
@@ -133,63 +174,6 @@ class TestMixtures:
         span = p.eve_amplitude + 10.0 * math.sqrt(p.eve_noise_var)
         total = integrate(lambda z: mixture_density_eve(z, p), -span, span)
         assert abs(total - 1.0) < 1e-9
-
-
-class TestSampling:
-    def test_noise_free_limit(self):
-        p = _params(n0=1e-24, e0=1.5)
-        rng = np.random.default_rng(0)
-        y = sample_bob(+1, p, rng, size=100)
-        assert np.allclose(y, 1.5, atol=1e-10)
-
-    def test_bob_sample_moments(self):
-        p = _params(n0=0.8, e0=1.2)
-        rng = np.random.default_rng(42)
-        y = sample_bob(+1, p, rng, size=1_000_000)
-        sigma = math.sqrt(p.bob_noise_var)
-        assert abs(float(y.mean()) - 1.2) < 3.0 * sigma / 1000.0
-        assert abs(float(y.var()) - p.bob_noise_var) < 0.01 * p.bob_noise_var
-
-    def test_eve_sample_variance(self):
-        p = _params(gg=0.5, gn=2.0)
-        rng = np.random.default_rng(43)
-        z = sample_eve(-1, p, rng, size=1_000_000)
-        assert abs(float(z.mean()) + p.eve_amplitude) < 3.0 * math.sqrt(p.eve_noise_var) / 1000.0
-        assert abs(float(z.var()) - p.eve_noise_var) < 0.01 * p.eve_noise_var
-
-    def test_reproducible_streams(self):
-        p = _params()
-        a = sample_bob(+1, p, np.random.default_rng(9), size=32)
-        b = sample_bob(+1, p, np.random.default_rng(9), size=32)
-        assert np.array_equal(a, b)
-
-    def test_symbol_arrays_supported(self):
-        p = _params(n0=1e-24)
-        x = np.array([1.0, -1.0, 1.0])
-        y = sample_bob(x, p, np.random.default_rng(1))
-        assert np.allclose(y, x, atol=1e-10)
-
-
-class TestCrossover:
-    def test_pure_noise(self):
-        assert eve_hard_decision_crossover(_params(gg=0.0)) == pytest.approx(0.5)
-
-    def test_unit_ratio(self):
-        # Q(1)
-        val = eve_hard_decision_crossover(_params(gg=1.0, gn=1.0))
-        assert val == pytest.approx(0.15865525393145707, rel=1e-10)
-
-    def test_monotone_in_parameters(self):
-        base = eve_hard_decision_crossover(_params(gg=0.5, gn=1.0))
-        assert eve_hard_decision_crossover(_params(gg=0.5, gn=2.0)) > base
-        assert eve_hard_decision_crossover(_params(gg=0.8, gn=1.0)) < base
-
-    def test_range(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            p = _params(gg=float(rng.uniform(0, 2)), gn=float(rng.uniform(0.1, 4)))
-            val = eve_hard_decision_crossover(p)
-            assert 0.0 <= val <= 0.5
 
 
 class TestNdtr:

@@ -16,13 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satwiretap.cli import _COMMON, _SUBCOMMANDS, _emit, _load_config, main
-from satwiretap.code import (
-    bits_to_hex,
-    hash_bits,
-    hex_to_bits,
-    toeplitz_from_seed,
-    toeplitz_mul_naive,
-)
+from satwiretap.code import bits_to_hex, hash_bits, hex_to_bits
+
+from oracles import toeplitz_from_seed, toeplitz_mul_naive
 
 
 def run_cli(capsys, *argv):
@@ -664,6 +660,33 @@ def test_odd_flag_values_end_in_an_exit_code_not_a_traceback(case):
     if rc == 1:
         assert err.getvalue().startswith("error: ")
 
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["capacity", "--gamma-g", "1e308"], "gamma_g"),
+        (["bound", "--gamma-g", "1e308", "--n", "100"], "gamma_g"),
+        (["oracle", "--e0", "1e308"], "e0"),
+        (["capacity", "--e0", "1e200", "--n0", "1e-200"], "e0"),
+        (["densities", "--e0", "1e308"], "e0"),
+        (["capacity", "--gamma-n", "1e-200", "--n0", "1e-200"], "gamma_n"),
+    ],
+)
+def test_channel_scales_past_the_float_range_name_a_field(capsys, argv, field):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and field in err
+    assert "overflow encountered" not in err
+
+
+def test_an_empty_exception_message_prints_the_exception_name(capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("satwiretap.sim.run_reliability", no_memory)
+    rc, out, err = run_cli(capsys, "simulate", *_CHEAP_ARGV["simulate"])
+    assert (rc, out, err) == (1, "", "error: MemoryError\n")
 
 def _run_module(*argv):
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -12,7 +12,6 @@ from satwiretap.code import (
     _unpack_rows,
     bits_to_bpsk,
     bits_to_hex,
-    coset_preimage_size,
     decode,
     encode,
     hard_decision,
@@ -20,10 +19,10 @@ from satwiretap.code import (
     hex_to_bits,
     make_ecc,
     toeplitz_apply_batch,
-    toeplitz_from_seed,
     toeplitz_mul_fast,
-    toeplitz_mul_naive,
 )
+
+from oracles import coset_preimage_size, toeplitz_from_seed, toeplitz_mul_naive
 
 
 def _bits(text):

@@ -14,7 +14,6 @@ from satwiretap.leakage import (
     _eve_ratio,
     _min_bound_rows,
     e0,
-    e0_max,
     e0_max_s1_limit,
     exponent_margin,
     leakage_bound,
@@ -127,20 +126,55 @@ class TestE0:
         with pytest.raises(ValueError):
             e0(s, P_MAIN)
 
-    def test_e0_max_equals_uniform_e0(self):
-        for s in (0.2, 0.6):
-            assert e0_max(s, P_MAIN) == pytest.approx(e0(s, P_MAIN), abs=1e-14)
-
     def test_e0_max_vanishes_at_small_s_for_every_parameter_set(self):
         for p in (P_MAIN, P_HALF, _params(0.8, 0.5), _params(1.2, 3.0)):
-            assert 0.0 <= e0_max(1e-6, p) < 1e-6 * LN2
+            assert 0.0 <= e0(1e-6, p) < 1e-6 * LN2
 
     def test_s1_limit_closed_form(self):
         # lim_{s->1} E0_max = ln(2*Phi(a_E/sigma_E))
         assert e0_max_s1_limit(P_MAIN) == pytest.approx(0.15528943527967942, abs=1e-12)
         assert e0_max_s1_limit(_params(0.5, 2.0)) == pytest.approx(0.24398594388138417, abs=1e-12)
-        near_one = e0_max(1.0 - 1e-7, P_MAIN)
+        near_one = e0(1.0 - 1e-7, P_MAIN)
         assert near_one == pytest.approx(e0_max_s1_limit(P_MAIN), abs=1e-5)
+
+
+class TestArrayS:
+    # psi and e0 take a scalar s, which gives a float, or an array of s, which
+    # gives an array from one kernel call; each element must equal its own
+    # scalar call bit for bit
+    _S = st.floats(1e-6, 1.0 - 1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gg=st.one_of(st.just(0.0), st.floats(1e-4, 3.0)),
+        gn=st.floats(0.2, 9.0),
+        shape=st.sampled_from([(), (1,), (5,), (2, 3)]),
+        data=st.data(),
+    )
+    def test_array_equals_scalar_calls(self, gg, gn, shape, data):
+        params = _params(gg, gn)
+        size = math.prod(shape)
+        s_e0 = data.draw(st.lists(self._S, min_size=size, max_size=size))
+        s_psi = data.draw(
+            st.lists(st.one_of(st.just(1.0), self._S), min_size=size, max_size=size)
+        )
+        for fn, values in ((e0, s_e0), (psi, s_psi)):
+            got = fn(np.array(values).reshape(shape), params)
+            want = [fn(x, params) for x in values]
+            assert all(type(w) is float for w in want)
+            if shape == ():
+                assert type(got) is float and got == want[0]
+            else:
+                assert got.shape == shape
+                assert got.tobytes() == np.array(want).reshape(shape).tobytes()
+
+    @pytest.mark.parametrize(
+        "fn, bad", [(e0, 1.0), (e0, 0.0), (e0, math.nan), (psi, 1.5), (psi, -0.1), (psi, math.nan)]
+    )
+    def test_one_value_out_of_range_raises(self, fn, bad):
+        s = np.array([[0.2, 0.5], [bad, 0.7]])
+        with pytest.raises(ValueError, match=rf"{fn.__name__} requires s in .*, got {bad}$"):
+            fn(s, P_MAIN)
 
 
 class TestE0Derivatives:
@@ -355,6 +389,11 @@ class TestNoiselessMainBounds:
         with pytest.raises(ValueError):
             noiseless_main_bounds(0.5, 8, 9, P_MAIN)
 
+    @pytest.mark.parametrize("n, k_prime, field", [(8, 2.5, "k_prime"), (True, 0, "block length n")])
+    def test_non_integer_counts_name_their_field(self, n, k_prime, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            noiseless_main_bounds(0.5, n, k_prime, P_MAIN)
+
 
 class TestRenyi:
     def test_uniform_matches_log_cardinality(self):
@@ -403,8 +442,12 @@ class TestNonuniformSeedBound:
     def test_point_mass_gives_no_secrecy(self):
         dist = [1.0] + [0.0] * 15
         val = nonuniform_seed_bound(0.5, 64, dist, P_MAIN)
-        expected = (-math.log(0.5) + 64 * e0_max(0.5, P_MAIN)) / LN2
+        expected = (-math.log(0.5) + 64 * e0(0.5, P_MAIN)) / LN2
         assert val == pytest.approx(expected, abs=1e-10)
+
+    def test_non_integer_block_length_named(self):
+        with pytest.raises(ValueError, match="block length n must be an integer"):
+            nonuniform_seed_bound(0.5, 8.5, [0.5, 0.5], P_MAIN)
 
     def test_support_size_checked_against_code(self):
         code = CodeParams(n=16, k=12, k_prime=4)

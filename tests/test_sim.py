@@ -16,8 +16,6 @@ from satwiretap.code import (
     bits_to_hex,
     hard_decision,
     make_ecc,
-    toeplitz_from_seed,
-    toeplitz_mul_naive,
 )
 from satwiretap.leakage import CodeParams
 from satwiretap import sim
@@ -30,9 +28,10 @@ from satwiretap.sim import (
     _half_width,
     exact_leakage,
     make_eve_quantizer,
-    mc_mutual_info,
     run_reliability,
 )
+
+from oracles import mc_mutual_info, toeplitz_from_seed, toeplitz_mul_naive
 
 P_MAIN = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0)
 
