@@ -31,7 +31,7 @@ _EXPORTS = {
     "code": (
         "DecodeFailure", "EccScheme", "Hamming74Code", "IdentityCode", "Repetition3Code",
         "bits_to_bpsk", "bits_to_hex", "decode", "encode", "hard_decision", "hash_bits",
-        "hex_to_bits", "make_ecc", "toeplitz_apply_batch", "toeplitz_mul_fast",
+        "hex_to_bits", "make_ecc", "toeplitz_apply_batch",
     ),
     "geometry": ("GeometryConfig", "alpha", "beta", "eve_stronger", "gamma_g", "protected_region_map"),
     "leakage": (

@@ -266,7 +266,7 @@ def _hex_flag(flag: str, text: str, length: int):
 
 
 def _cmd_code(args) -> None:
-    from .code import _check_count, bits_to_bpsk, bits_to_hex, decode, encode, hash_bits, make_ecc
+    from .code import _check_count, bits_to_hex, encode, hash_bits, make_ecc
 
     if args.op is None:
         raise ValueError("--op is required (encode, decode, or hash)")
@@ -283,7 +283,7 @@ def _cmd_code(args) -> None:
     elif args.op == "decode":
         _require(args, ["word"])
         received = _hex_flag("--word", args.word, ecc.block_length)
-        m_hat = decode(bits_to_bpsk(received), seed, ecc, k)
+        m_hat = hash_bits(ecc.decode_bits(received), seed, k, kp)
         row = {"op": "decode", "n": ecc.block_length, "message": bits_to_hex(m_hat)}
     else:
         _require(args, ["word"])

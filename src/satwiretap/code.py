@@ -5,11 +5,13 @@ The hash family is F = (I, T(S)) with T a k x k' binary Toeplitz matrix drawn
 from a seed S of k+k'-1 bits: hash(v) = v[:k] XOR T @ v[k:]. The encoder
 premixes the message with the sacrifice bits through [[I, T], [0, I]] (over
 F2, -T = T), so hash(premix(m, l)) = m for every seed; decoding is the hash of
-the ECC-decoded word. T @ x is an XOR of sliding seed windows, computed at
-every k and k' by one kernel on rows packed into uint64 words
-(_toeplitz_words): each window is a word-aligned slice of one of at most 64
-bit-shifts of the seed. toeplitz_apply_batch packs bits, runs it and unpacks;
-the tests compare it against a dense-matmul reference in tests/oracles.py.
+the ECC-decoded word. The premix's first k bits are the hash, so one map on
+rows packed into uint64 words (_hash_words) serves encode, hash_bits, decode
+and the reliability simulation. T @ x is an XOR of sliding seed windows,
+computed at every k and k' by one kernel (_toeplitz_words): each window is
+a word-aligned slice of one of at most 64 bit-shifts of the seed.
+toeplitz_apply_batch packs bits, runs it and unpacks; the tests compare it
+against a dense-matmul reference in tests/oracles.py.
 Desk-scale ECC stand-ins (identity, triple repetition, Hamming(7,4)) substitute
 for production LDPC/Polar codes; all decide hard first and decode bits.
 
@@ -30,7 +32,6 @@ __all__ = [
     "hex_to_bits",
     "bits_to_bpsk",
     "hard_decision",
-    "toeplitz_mul_fast",
     "toeplitz_apply_batch",
     "hash_bits",
     "EccScheme",
@@ -47,14 +48,28 @@ class DecodeFailure(Exception):
     """Raised when an ECC decoder cannot produce a message estimate."""
 
 
-def bits_from_ints(values) -> np.ndarray:
-    """Validate and convert a 0/1 sequence to a uint8 bit array."""
-    bits = np.asarray(values, dtype=np.uint8)
-    if bits.ndim != 1:
-        raise ValueError("bit words are one-dimensional")
-    if bits.size and int(bits.max(initial=0)) > 1:
-        raise ValueError("bit words contain only 0 and 1")
-    return bits
+def _check_count(name: str, value, minimum: int) -> int:
+    """value as an int; ValueError naming `name` unless an integer (not bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_bits(name: str, values, length=None, ndim: int = 1) -> np.ndarray:
+    """values as a uint8 array of 0s and 1s with `ndim` axes, the last of `length` bits.
+
+    ValueError naming `name` for any other shape or value; length None takes any.
+    """
+    bits = np.asarray(values)
+    if bits.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {bits.shape}")
+    if length is not None and bits.shape[-1] != length:
+        raise ValueError(f"{name} has {bits.shape[-1]} bits, expected {length}")
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError(f"{name} must hold only 0 and 1")
+    return bits.astype(np.uint8, copy=False)
 
 
 def bits_to_hex(bits) -> str:
@@ -63,18 +78,12 @@ def bits_to_hex(bits) -> str:
     The word is right-padded with zero bits to a byte boundary; callers must
     remember the true length to deserialize.
     """
-    bits = bits_from_ints(bits)
-    if bits.size == 0:
-        return ""
-    pad = (-bits.size) % 8
-    padded = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    return np.packbits(padded).tobytes().hex()
+    return np.packbits(_check_bits("bits", bits)).tobytes().hex()
 
 
 def hex_to_bits(text: str, length: int) -> np.ndarray:
     """Parse `length` bits from a hex string produced by bits_to_hex."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    length = _check_count("length", length, 0)
     if length == 0:
         if text:
             raise ValueError("expected empty hex for a zero-length word")
@@ -101,50 +110,20 @@ def hard_decision(y) -> np.ndarray:
     return (y < 0.0).astype(np.uint8)
 
 
-def _check_count(name: str, value, minimum: int) -> int:
-    """value as an int; ValueError naming `name` unless an integer (not bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _check_seed(seed: np.ndarray, k: int, k_prime: int) -> np.ndarray:
-    seed = bits_from_ints(seed)
-    expected = k + k_prime - 1
-    if seed.size != expected:
-        raise ValueError(f"seed length {seed.size}, expected k+k'-1 = {expected}")
-    return seed
-
-
-def toeplitz_mul_fast(seed, x, k: int, k_prime: int) -> np.ndarray:
-    """T(seed) @ x over F2 for one word: the B = 1 case of toeplitz_apply_batch.
-
-    Validates the seed and input lengths. Equals the dense product of
-    tests/oracles.py, toeplitz_mul_naive(toeplitz_from_seed(seed, k, k_prime), x),
-    bit for bit.
-    """
-    if k < 1 or k_prime < 0:
-        raise ValueError("need k >= 1 and k_prime >= 0")
-    seed = _check_seed(seed, k, k_prime)
-    x = bits_from_ints(x)
-    if x.size != k_prime:
-        raise ValueError(f"input has {x.size} bits, expected k' = {k_prime}")
-    return toeplitz_apply_batch(seed[None], x[None], k, k_prime)[0]
-
-
-def toeplitz_apply_batch(seeds: np.ndarray, xs: np.ndarray, k: int, k_prime: int) -> np.ndarray:
+def toeplitz_apply_batch(seeds, xs, k: int, k_prime: int) -> np.ndarray:
     """Row-wise T(seeds[b]) @ xs[b] over F2 for a batch of seeds and inputs.
 
     seeds is (B, k+k'-1) and xs is (B, k'), both 0/1; one seed row is
     broadcast over every input row. Column j of T(seed) is the contiguous
     window seed[k'-1-j : k'-1-j+k], so the product is the XOR of the windows
     selected by the set bits of each input row, computed on packed words by
-    _toeplitz_words. Read-only and broadcast seeds are accepted.
+    _toeplitz_words. Read-only and broadcast seeds are accepted. A single
+    word is the batch of one row.
     """
-    seeds = np.asarray(seeds, dtype=np.uint8)
-    xs = np.asarray(xs, dtype=np.uint8)
+    k = _check_count("k", k, 1)
+    k_prime = _check_count("k_prime", k_prime, 0)
+    seeds = _check_bits("seeds", seeds, k + k_prime - 1, ndim=2)
+    xs = _check_bits("xs", xs, k_prime, ndim=2)
     return _unpack_rows(_toeplitz_words(_pack_rows(seeds), _pack_rows(xs), k, k_prime), k)
 
 
@@ -180,30 +159,37 @@ def _toeplitz_words(
     zeros below bit k. Column j's window starts at seed bit k'-1-j = 64q + r,
     so it is words q.. of the seed shifted by r: each of the at most 64
     shifts is built once. x's bit j, shifted into the sign and spread by an
-    arithmetic shift, selects the window. Columns that are zero in every row
-    are skipped.
+    arithmetic shift, selects the window in every row.
     """
     rows = np.broadcast_shapes(seed_words.shape[1:], x_words.shape[1:])
     out_words = -(-k // 64)
     out = np.zeros((out_words,) + rows, dtype=np.uint64)
     signed = x_words.view(np.int64)
-    anywhere = np.bitwise_or.reduce(x_words, axis=1)[:, None]
-    live = _unpack_rows(anywhere, offset + k_prime)[0, offset:]
     for shift in range(min(64, k_prime)):
-        # column k'-1-shift-64q for q = 0, 1, ...: its window starts at word q
-        starts = np.flatnonzero(live[k_prime - 1 - shift :: -64])
-        if starts.size == 0:
-            continue
         shifted = seed_words
         if shift:
             # every seed row moved `shift` bits toward bit 0, across words
             shifted = seed_words << shift
             shifted[:-1] |= seed_words[1:] >> (64 - shift)
-        for q in starts.tolist():
+        # column k'-1-shift-64q for q = 0, 1, ...: its window starts at word q
+        for q in range((k_prime - 1 - shift) // 64 + 1):
             bit = offset + k_prime - 1 - shift - 64 * q
             select = (signed[bit // 64] << (bit % 64)) >> 63
             out ^= shifted[q : q + out_words] & select.view(np.uint64)
     out[-1] &= ~np.uint64(0) << (-k % 64)  # zero the window bits past bit k
+    return out
+
+
+def _hash_words(seed_words: np.ndarray, words: np.ndarray, k: int, k_prime: int) -> np.ndarray:
+    """The words holding bits 0..k-1 of [[I, T(seed)], [0, I]] v for k+k' bit rows v.
+
+    words are _pack_rows rows v = (a, b) with a of k bits; either argument may
+    have one row, broadcast over the other's. The first k bits of the result
+    are a XOR T(seed) @ b, which is both the encoder's premixed message and
+    the hash (I, T(seed)) v; the bits past k in the last word are b's own.
+    """
+    out = _toeplitz_words(seed_words, words, k, k_prime, offset=k)
+    out ^= words[: out.shape[0]]
     return out
 
 
@@ -213,10 +199,11 @@ def hash_bits(v, seed, k: int, k_prime: int) -> np.ndarray:
     Returns v[:k] XOR T @ v[k:]. For a uniformly random seed any two distinct
     inputs collide with probability at most 2^-k.
     """
-    v = bits_from_ints(v)
-    if v.size != k + k_prime:
-        raise ValueError(f"input has {v.size} bits, expected k+k' = {k + k_prime}")
-    return v[:k] ^ toeplitz_mul_fast(seed, v[k:], k, k_prime)
+    k = _check_count("k", k, 1)
+    k_prime = _check_count("k_prime", k_prime, 0)
+    v = _check_bits("v", v, k + k_prime)
+    seed = _check_bits("seed", seed, k + k_prime - 1)
+    return _unpack_rows(_hash_words(_pack_rows(seed[None]), _pack_rows(v[None]), k, k_prime), k)[0]
 
 
 class EccScheme:
@@ -344,14 +331,15 @@ def encode(m, l, seed, ecc: EccScheme) -> np.ndarray:
     codeword = ecc.encode((m XOR T l, l)). Injective in (m, l) for any fixed
     seed because the premix matrix [[I, T], [0, I]] is invertible.
     """
-    m = bits_from_ints(m)
-    l = bits_from_ints(l)
-    if ecc.message_length != m.size + l.size:
-        raise ValueError(
-            f"ECC expects {ecc.message_length} bits, got k+k' = {m.size + l.size}"
-        )
-    mixed = m ^ toeplitz_mul_fast(seed, l, m.size, l.size)
-    return ecc.encode(np.concatenate([mixed, l]))
+    m = _check_bits("m", m)
+    l = _check_bits("l", l)
+    k = _check_count("k", m.size, 1)
+    if ecc.message_length != k + l.size:
+        raise ValueError(f"ECC expects {ecc.message_length} bits, got k+k' = {k + l.size}")
+    seed = _check_bits("seed", seed, k + l.size - 1)
+    words = _pack_rows(np.concatenate([m, l])[None])
+    mixed = _hash_words(_pack_rows(seed[None]), words, k, l.size)
+    return ecc.encode(np.concatenate([_unpack_rows(mixed, k)[0], l]))
 
 
 def decode(y, seed, ecc: EccScheme, k: int) -> np.ndarray:
@@ -362,11 +350,11 @@ def decode(y, seed, ecc: EccScheme, k: int) -> np.ndarray:
     because (I, T) [[I, T], [0, I]] = (I, 0) over F2. Propagates DecodeFailure
     from the ECC layer.
     """
+    k = _check_count("k", k, 1)
     k_prime = ecc.message_length - k
     if k_prime < 0:
         raise ValueError(f"k = {k} exceeds ECC message length {ecc.message_length}")
-    v = bits_from_ints(ecc.decode(np.asarray(y, dtype=float)))
-    return hash_bits(v, seed, k, k_prime)
+    return hash_bits(ecc.decode(np.asarray(y, dtype=float)), seed, k, k_prime)
 
 
 def _enumerate_bits(length: int) -> np.ndarray:

@@ -242,8 +242,7 @@ def _min_bound_rows(
     s=1 appended, and per row its curve over them in log2 bits, the
     minimizer, the minimum and where the minimizer came from.
     """
-    if s_grid_resolution < 100:
-        raise ValueError(f"s_grid_resolution must be >= 100, got {s_grid_resolution}")
+    s_grid_resolution = _check_count("s_grid_resolution", s_grid_resolution, 100)
     r = _eve_ratio(params)
     k_primes = np.asarray(k_primes, dtype=float)
     grid = np.linspace(_S_EPS, 1.0 - _S_EPS, s_grid_resolution)

@@ -30,12 +30,12 @@ import numpy as np
 from .channel import WiretapChannelParams, ndtr
 from .code import (
     EccScheme,
+    _check_bits,
     _check_count,
     _enumerate_bits,
+    _hash_words,
     _pack_rows,
-    _toeplitz_words,
     _unpack_rows,
-    bits_from_ints,
 )
 from .leakage import CodeParams, min_leakage_bound
 
@@ -141,8 +141,8 @@ def _reliability_block(
 ) -> Tuple[int, int, int]:
     """(bit errors, frame errors, sum of squared per-frame bit errors).
 
-    Runs on decision bits; the hash and the error count run on packed uint64
-    words, with the sacrifice word read in place after the k message bits.
+    Runs on decision bits; the premix, the hash and the error count run on
+    packed uint64 words through one map, _hash_words.
     """
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(block_index,)))
     k, kp, n = code.k, code.k_prime, code.n
@@ -158,7 +158,7 @@ def _reliability_block(
 
     words = _pack_rows(np.concatenate([m, l], axis=1))
     mixed = words.copy()
-    mixed[:head] ^= _toeplitz_words(seed_words, words, k, kp, offset=k)
+    mixed[:head] = _hash_words(seed_words, words, k, kp)
     codeword = ecc.encode(_unpack_rows(mixed, k + kp))
 
     noise = rng.standard_normal((count, n))
@@ -166,8 +166,8 @@ def _reliability_block(
     received = _hard_decisions(noise, params.bob_amplitude, codeword)
     del noise  # the block's largest array: free it before the decode stage
 
-    v_words = _pack_rows(ecc.decode_bits(received))
-    diff = v_words[:head] ^ _toeplitz_words(seed_words, v_words, k, kp, offset=k) ^ words[:head]
+    diff = _hash_words(seed_words, _pack_rows(ecc.decode_bits(received)), k, kp)
+    diff ^= words[:head]
     diff[-1] &= ~np.uint64(0) << (-k % 64)  # drop the sacrifice bits after bit k
     per_frame = np.bitwise_count(diff).sum(axis=0, dtype=np.int64)
     return int(per_frame.sum()), int(np.count_nonzero(per_frame)), int(per_frame @ per_frame)
@@ -191,7 +191,10 @@ def run_reliability(
     decodes. Pass `hash_seed` (k+k'-1 bits) to pin the hash for debugging.
     The trial stream is partitioned into fixed blocks whose RNG substreams
     depend only on (master_seed, block_index), so the report is identical for
-    every `workers` value. Propagates DecodeFailure from the ECC layer.
+    every `workers` value. With J = min(workers, blocks) threads, thread j
+    runs blocks j, j+J, j+2J, ... and keeps only its integer sums, so memory
+    does not grow with the number of blocks. Propagates DecodeFailure from
+    the ECC layer.
     """
     trials = _check_count("trials", trials, 1)
     master_seed = _check_count("master_seed", master_seed, 0)
@@ -206,28 +209,26 @@ def run_reliability(
     if ecc.block_length != code.n:
         raise ValueError(f"ECC block length {ecc.block_length} != n = {code.n}")
     if hash_seed is not None:
-        hash_seed = bits_from_ints(hash_seed)
-        if hash_seed.size != code.k + code.k_prime - 1:
-            raise ValueError("hash_seed must have k+k'-1 bits")
+        hash_seed = _check_bits("hash_seed", hash_seed, code.k + code.k_prime - 1)
 
-    blocks = [
-        (index, min(block_size, trials - index * block_size))
-        for index in range(-(-trials // block_size))
-    ]
+    blocks = -(-trials // block_size)
+    jobs = min(workers, blocks)
 
-    def job(block):
-        b, count = block
-        return _reliability_block(b, count, code, ecc, params, master_seed, hash_seed)
+    def tally(first: int) -> Tuple[int, int, int]:
+        # every jobs-th block from `first`, summed as it runs
+        bits = frames = squares = 0
+        for b in range(first, blocks, jobs):
+            count = min(block_size, trials - b * block_size)
+            e, f, q = _reliability_block(b, count, code, ecc, params, master_seed, hash_seed)
+            bits, frames, squares = bits + e, frames + f, squares + q
+        return bits, frames, squares
 
-    if workers == 1 or len(blocks) == 1:
-        results = [job(block) for block in blocks]
+    if jobs == 1:
+        results = [tally(0)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, blocks))
-
-    bit_errors = sum(r[0] for r in results)
-    frame_errors = sum(r[1] for r in results)
-    squares = sum(r[2] for r in results)
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(tally, range(jobs)))
+    bit_errors, frame_errors, squares = map(sum, zip(*results))
     n_bits = trials * code.k
     ber = bit_errors / n_bits
     fer = frame_errors / trials

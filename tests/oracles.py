@@ -9,14 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from satwiretap.code import (
-    EccScheme,
-    _check_count,
-    _check_seed,
-    _enumerate_bits,
-    bits_from_ints,
-    hash_bits,
-)
+from satwiretap.code import EccScheme, _check_bits, _check_count, _enumerate_bits, hash_bits
 
 
 def toeplitz_from_seed(seed, k: int, k_prime: int) -> np.ndarray:
@@ -27,7 +20,7 @@ def toeplitz_from_seed(seed, k: int, k_prime: int) -> np.ndarray:
     """
     if k < 1 or k_prime < 0:
         raise ValueError("need k >= 1 and k_prime >= 0")
-    seed = _check_seed(seed, k, k_prime)
+    seed = _check_bits("seed", seed, k + k_prime - 1)
     if k_prime == 0:
         return np.zeros((k, 0), dtype=np.uint8)
     rows = np.arange(k)[:, None]
@@ -37,7 +30,7 @@ def toeplitz_from_seed(seed, k: int, k_prime: int) -> np.ndarray:
 
 def toeplitz_mul_naive(T: np.ndarray, x) -> np.ndarray:
     """Reference product T @ x over F2 via plain integer matmul."""
-    x = bits_from_ints(x)
+    x = _check_bits("x", x)
     if T.shape[1] != x.size:
         raise ValueError(f"matrix is {T.shape}, input has {x.size} bits")
     if x.size == 0:
@@ -50,7 +43,7 @@ def coset_preimage_size(ecc: EccScheme, seed, m) -> int:
 
     Exhaustive enumeration, so the ECC message length is capped at 12 bits.
     """
-    m = bits_from_ints(m)
+    m = _check_bits("m", m)
     total = ecc.message_length
     if total > 12:
         raise ValueError(f"exhaustive enumeration capped at 12 bits, got {total}")

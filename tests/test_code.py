@@ -19,7 +19,6 @@ from satwiretap.code import (
     hex_to_bits,
     make_ecc,
     toeplitz_apply_batch,
-    toeplitz_mul_fast,
 )
 
 from oracles import coset_preimage_size, toeplitz_from_seed, toeplitz_mul_naive
@@ -116,7 +115,7 @@ class TestFastMultiply:
             x = rng.integers(0, 2, kp, dtype=np.uint8)
             T = toeplitz_from_seed(seed, k, kp)
             assert np.array_equal(
-                toeplitz_mul_fast(seed, x, k, kp), toeplitz_mul_naive(T, x)
+                toeplitz_apply_batch(seed[None], x[None], k, kp)[0], toeplitz_mul_naive(T, x)
             )
 
     def test_matches_naive_large(self):
@@ -128,7 +127,7 @@ class TestFastMultiply:
             x = rng.integers(0, 2, kp, dtype=np.uint8)
             T = toeplitz_from_seed(seed, k, kp)
             assert np.array_equal(
-                toeplitz_mul_fast(seed, x, k, kp), toeplitz_mul_naive(T, x)
+                toeplitz_apply_batch(seed[None], x[None], k, kp)[0], toeplitz_mul_naive(T, x)
             )
 
     def test_batch_matches_naive_row_by_row(self):
@@ -238,11 +237,71 @@ class TestFastMultiply:
 
     def test_zero_input(self):
         seed = np.ones(15, np.uint8)
-        assert not toeplitz_mul_fast(seed, np.zeros(8, np.uint8), 8, 8).any()
+        assert not toeplitz_apply_batch(seed[None], np.zeros((1, 8), np.uint8), 8, 8).any()
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            toeplitz_mul_fast(np.ones(7, np.uint8), np.ones(3, np.uint8), 4, 4)
+            toeplitz_apply_batch(np.ones((1, 7), np.uint8), np.ones((1, 3), np.uint8), 4, 4)
+
+
+class TestValidationNamesTheField:
+    def test_batch_product_checks_its_shapes(self):
+        # a 3-bit seed where k+k'-1 = 7 bits are needed
+        with pytest.raises(ValueError, match="seeds has 3 bits, expected 7"):
+            toeplitz_apply_batch(np.ones((1, 3)), np.ones((1, 2)), 4, 4)
+        with pytest.raises(ValueError, match="xs has 3 bits, expected 4"):
+            toeplitz_apply_batch(np.ones((1, 7)), np.ones((1, 3)), 4, 4)
+        with pytest.raises(ValueError, match="seeds must be 2-dimensional"):
+            toeplitz_apply_batch(np.ones(7), np.ones((1, 4)), 4, 4)
+        with pytest.raises(ValueError, match="xs must hold only 0 and 1"):
+            toeplitz_apply_batch(np.ones((1, 7)), np.full((1, 4), 2), 4, 4)
+        with pytest.raises(ValueError, match="k_prime must be an integer"):
+            toeplitz_apply_batch(np.ones((1, 7)), np.ones((1, 4)), 4, 4.0)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            toeplitz_apply_batch(np.ones((1, 3)), np.ones((1, 4)), 0, 4)
+
+    @pytest.mark.parametrize("bits", [[0.5, 1], [-1, 1], [2, 0], [np.nan], [[0, 1]]])
+    def test_bits_to_hex_rejects_non_bits(self, bits):
+        with pytest.raises(ValueError, match="bits must"):
+            bits_to_hex(bits)
+
+    def test_bits_to_hex_is_the_zero_padded_integer(self):
+        rng = np.random.default_rng(36)
+        for length in range(70):
+            bits = rng.integers(0, 2, length, dtype=np.uint8)
+            nbytes = -(-length // 8)
+            text = "".join(map(str, bits.tolist())).ljust(8 * nbytes, "0")
+            assert bits_to_hex(bits) == int(text or "0", 2).to_bytes(nbytes, "big").hex()
+
+    @pytest.mark.parametrize("length", [2.5, 2.0, True, None, -1])
+    def test_hex_length_must_be_a_count(self, length):
+        with pytest.raises(ValueError, match="length must be"):
+            hex_to_bits("ff", length)
+
+    def test_hash_names_each_bad_argument(self):
+        v, seed = np.zeros(4, np.uint8), np.zeros(3, np.uint8)
+        with pytest.raises(ValueError, match="k_prime must be an integer"):
+            hash_bits(v, seed, 2, 2.0)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            hash_bits(v, seed, 0, 4)
+        with pytest.raises(ValueError, match="v has 3 bits, expected 4"):
+            hash_bits(v[:3], seed, 2, 2)
+        with pytest.raises(ValueError, match="v must hold only 0 and 1"):
+            hash_bits([0, 1, 0.5, 0], seed, 2, 2)
+        with pytest.raises(ValueError, match="seed has 2 bits, expected 3"):
+            hash_bits(v, seed[:2], 2, 2)
+
+    def test_encode_and_decode_name_each_bad_argument(self):
+        ecc = make_ecc("identity", 4)
+        seed = np.zeros(3, np.uint8)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            decode(np.ones(4), seed, ecc, 1.5)
+        with pytest.raises(ValueError, match="m must hold only 0 and 1"):
+            encode([0, -1], [1, 0], seed, ecc)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            encode([], [1, 0, 1, 1], seed, ecc)
+        with pytest.raises(ValueError, match="seed has 4 bits, expected 3"):
+            encode([0, 1], [1, 0], np.zeros(4), ecc)
 
 
 class TestHash:
@@ -408,8 +467,8 @@ class TestEncodeDecode:
             seed = rng.integers(0, 2, k + kp - 1, dtype=np.uint8)
             m = rng.integers(0, 2, k, dtype=np.uint8)
             l = rng.integers(0, 2, kp, dtype=np.uint8)
-            once = m ^ toeplitz_mul_fast(seed, l, k, kp)
-            twice = once ^ toeplitz_mul_fast(seed, l, k, kp)
+            once = hash_bits(np.concatenate([m, l]), seed, k, kp)
+            twice = hash_bits(np.concatenate([once, l]), seed, k, kp)
             assert np.array_equal(twice, m)
 
     @settings(max_examples=300, deadline=None)

@@ -302,6 +302,11 @@ class TestMinLeakageBound:
         with pytest.raises(ValueError):
             min_leakage_bound(CodeParams(8, 4, 4), P_MAIN, s_grid_resolution=99)
 
+    @pytest.mark.parametrize("resolution", [150.5, 150.0, True])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ValueError, match="s_grid_resolution must be an integer"):
+            min_leakage_bound(CodeParams(8, 4, 4), P_MAIN, s_grid_resolution=resolution)
+
     def test_nonincreasing_in_k_prime(self):
         vals = [
             min_leakage_bound(CodeParams(1024, 0, kp), P_MAIN).log2_bound

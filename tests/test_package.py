@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "make_eve_quantizer", "mi_biawgn", "min_leakage_bound", "mixture_density_bob",
     "mixture_density_eve", "noiseless_main_bounds", "nonuniform_seed_bound",
     "positivity_condition", "protected_region_map", "psi", "renyi_entropy", "run_reliability",
-    "secrecy_capacity", "toeplitz_apply_batch", "toeplitz_mul_fast",
+    "secrecy_capacity", "toeplitz_apply_batch",
 ]
 SUBMODULES = (
     "capacity", "channel", "cli", "code", "figures", "geometry", "leakage", "quadrature", "sim",
@@ -30,7 +30,7 @@ SUBMODULES = (
 
 
 def test_public_names_unchanged():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 51
     assert satwiretap.__all__ == PUBLIC_NAMES
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +338,48 @@ class TestRunReliability:
         # k = 0 leaves no bit to count errors on
         with pytest.raises(ValueError, match="k must be"):
             run_reliability(CodeParams(2, 0, 2), make_ecc("identity", 2), P_MAIN, 10, 1)
+
+    def test_bad_hash_seed_names_its_field(self):
+        ecc = make_ecc("identity", 4)
+        for seed in ([1, 0], [1, 0, 2], [[1, 0, 1]]):
+            with pytest.raises(ValueError, match="hash_seed"):
+                run_reliability(CodeParams(4, 2, 2), ecc, P_MAIN, 10, 1, hash_seed=seed)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_every_block_runs_once_with_its_count(self, monkeypatch, workers):
+        calls = []
+        lock = threading.Lock()
+
+        def block(index, count, *rest):
+            with lock:
+                calls.append((index, count, threading.get_ident()))
+            return (index, count, index * count)
+
+        monkeypatch.setattr(sim, "_reliability_block", block)
+        report = run_reliability(
+            CodeParams(2, 1, 1), make_ecc("identity", 2), P_MAIN, 10, 1,
+            block_size=3, workers=workers,
+        )
+        assert sorted(c[:2] for c in calls) == [(0, 3), (1, 3), (2, 3), (3, 1)]
+        assert report.bit_errors == 6 and report.frame_errors == 10
+        # at most one worker per block, never more than asked for
+        assert len({c[2] for c in calls}) <= min(workers, 4)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_stream_in_constant_memory(self, monkeypatch, workers):
+        # 50,000 one-frame blocks: no block list and no future per block
+        monkeypatch.setattr(sim, "_reliability_block", lambda *args: (0, 0, 0))
+        tracemalloc.start()
+        try:
+            report = run_reliability(
+                CodeParams(2, 1, 1), make_ecc("identity", 2), P_MAIN, 50_000, 1,
+                block_size=1, workers=workers,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trials == 50_000 and report.bit_errors == 0
+        assert peak < 1 << 20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def _bits_of(text):
