@@ -3,7 +3,8 @@
 run_reliability estimates Bob-side bit and frame error rates for the full
 encode/transmit/decode chain; its 95% intervals are Wilson score intervals.
 It runs on hard decisions, with the hash and the error count on packed uint64
-words at every k and k'.
+words at every k and k', and draws the channel noise in tiles of frames that
+hold about 1 MiB of normals, so its memory does not grow with block_size * n.
 exact_leakage brute-forces I(M; Z^n) on tiny instances against a quantized
 Eve channel, giving an independent witness that the analytic leakage bounds
 hold (quantization only discards information, so the exact quantized leakage
@@ -20,6 +21,7 @@ for any worker count.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -58,6 +60,10 @@ _MAX_ORACLE_CELLS = 1 << 22
 # per leaf: enough to amortize each numpy call, few enough to keep the tree's
 # buffers near the cache
 _SWEEP_LEAF_CELLS = 1 << 13
+# the reliability block's channel stage draws this many normals at a time
+# (1 MiB): enough rows to amortize each numpy call, and a buffer that does
+# not grow with the block
+_TILE_DOUBLES = 1 << 17
 _TINY = float(np.nextafter(0.0, 1.0))  # log2(_TINY) = -1074, finite
 
 
@@ -130,6 +136,22 @@ def _hard_decisions(noise: np.ndarray, amplitude: float, codeword: np.ndarray) -
     return received
 
 
+def _uniform_bits(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
+    """rng.integers(0, 2, size=(rows, width), dtype=np.uint8), bit for bit.
+
+    numpy draws each of those bits as the top bit of one byte of buffered
+    uint32 words, low byte first, and drops the rest of the last word. So
+    ceil(rows*width/4) full-range words, read as bytes and shifted right by
+    7, are the same bits and leave the generator in the same state, without
+    a bounded draw per bit. (rng.bytes would not: it spends a word on zero
+    bytes.)
+    """
+    words = rng.integers(0, 1 << 32, size=-(-rows * width // 4), dtype=np.uint32)
+    bits = words.astype("<u4", copy=False).view(np.uint8)[: rows * width]
+    bits >>= 7
+    return bits.reshape(rows, width)
+
+
 def _reliability_block(
     block_index: int,
     count: int,
@@ -142,31 +164,42 @@ def _reliability_block(
     """(bit errors, frame errors, sum of squared per-frame bit errors).
 
     Runs on decision bits; the premix, the hash and the error count run on
-    packed uint64 words through one map, _hash_words.
+    packed uint64 words through one map, _hash_words. The channel stage runs
+    in tiles of max(1, _TILE_DOUBLES // n) frames that reuse one buffer of
+    normals, so memory does not grow with count * n. standard_normal keeps
+    no state between calls, so the tiles read the same normals as one
+    (count, n) draw.
     """
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(block_index,)))
     k, kp, n = code.k, code.k_prime, code.n
 
-    m = rng.integers(0, 2, size=(count, k), dtype=np.uint8)
-    l = rng.integers(0, 2, size=(count, kp), dtype=np.uint8)
+    # m and l, then the seeds, each packed before the next draw: with the
+    # normals tiled, these one-byte-per-bit arrays are the block's largest
+    words = _pack_rows(
+        np.concatenate([_uniform_bits(rng, count, k), _uniform_bits(rng, count, kp)], axis=1)
+    )
     if hash_seed is None:
-        seeds = rng.integers(0, 2, size=(count, k + kp - 1), dtype=np.uint8)
+        seed_words = _pack_rows(_uniform_bits(rng, count, k + kp - 1))
     else:
-        seeds = hash_seed[None]
-    seed_words = _pack_rows(seeds)
+        seed_words = _pack_rows(hash_seed[None])
     head = -(-k // 64)  # the words that hold the k message bits
-
-    words = _pack_rows(np.concatenate([m, l], axis=1))
     mixed = words.copy()
     mixed[:head] = _hash_words(seed_words, words, k, kp)
-    codeword = ecc.encode(_unpack_rows(mixed, k + kp))
 
-    noise = rng.standard_normal((count, n))
-    noise *= math.sqrt(params.bob_noise_var)
-    received = _hard_decisions(noise, params.bob_amplitude, codeword)
-    del noise  # the block's largest array: free it before the decode stage
+    sigma = math.sqrt(params.bob_noise_var)
+    rows = max(1, _TILE_DOUBLES // n)
+    noise = np.empty((min(rows, count), n))
+    decoded = np.empty_like(words)
+    for start in range(0, count, rows):
+        frames = slice(start, start + rows)
+        codeword = ecc.encode(_unpack_rows(mixed[:, frames], k + kp))
+        tile = noise[: len(codeword)]
+        rng.standard_normal(out=tile)
+        tile *= sigma
+        received = _hard_decisions(tile, params.bob_amplitude, codeword)
+        decoded[:, frames] = _pack_rows(ecc.decode_bits(received))
 
-    diff = _hash_words(seed_words, _pack_rows(ecc.decode_bits(received)), k, kp)
+    diff = _hash_words(seed_words, decoded, k, kp)
     diff ^= words[:head]
     diff[-1] &= ~np.uint64(0) << (-k % 64)  # drop the sacrifice bits after bit k
     per_frame = np.bitwise_count(diff).sum(axis=0, dtype=np.int64)
@@ -193,8 +226,10 @@ def run_reliability(
     depend only on (master_seed, block_index), so the report is identical for
     every `workers` value. With J = min(workers, blocks) threads, thread j
     runs blocks j, j+J, j+2J, ... and keeps only its integer sums, so memory
-    does not grow with the number of blocks. Propagates DecodeFailure from
-    the ECC layer.
+    does not grow with the number of blocks; within a block it grows with
+    block_size * (k+k') bytes, not with block_size * n normals. The threads
+    run under the caller's np.errstate. Propagates DecodeFailure from the
+    ECC layer.
     """
     trials = _check_count("trials", trials, 1)
     master_seed = _check_count("master_seed", master_seed, 0)
@@ -226,8 +261,12 @@ def run_reliability(
     if jobs == 1:
         results = [tally(0)]
     else:
+        # pool threads do not inherit the caller's context, where numpy
+        # keeps np.errstate; a Context can be entered by one thread at a
+        # time, so each job runs in its own copy
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(tally, range(jobs)))
+            futures = [pool.submit(contextvars.copy_context().run, tally, j) for j in range(jobs)]
+            results = [future.result() for future in futures]
     bit_errors, frame_errors, squares = map(sum, zip(*results))
     n_bits = trials * code.k
     ber = bit_errors / n_bits

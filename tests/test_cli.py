@@ -688,6 +688,20 @@ def test_an_empty_exception_message_prints_the_exception_name(capsys, monkeypatc
     rc, out, err = run_cli(capsys, "simulate", *_CHEAP_ARGV["simulate"])
     assert (rc, out, err) == (1, "", "error: MemoryError\n")
 
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_float_errors_raise_in_pool_threads(capsys, monkeypatch, threads):
+    def overflowing_block(*args):
+        np.array([1e308]) * 10.0
+        return 0, 0, 0
+
+    monkeypatch.setattr("satwiretap.sim._reliability_block", overflowing_block)
+    argv = [*_CHEAP_ARGV["simulate"], "--block-size", "16", "--threads", threads]
+    rc, out, err = run_cli(capsys, "simulate", *argv)
+    assert (rc, out) == (1, "")
+    assert err == "error: overflow encountered in multiply\n"
+
+
 def _run_module(*argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -28,6 +28,8 @@ from satwiretap.sim import (
     _design_effect,
     _hard_decisions,
     _half_width,
+    _reliability_block,
+    _uniform_bits,
     exact_leakage,
     make_eve_quantizer,
     run_reliability,
@@ -382,6 +384,43 @@ class TestRunReliability:
         assert peak < 1 << 20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
+    def test_one_block_does_not_hold_its_normals(self):
+        # rep3 (3000, 900, 100), 512 frames: the whole block's normals would be 12 MB
+        code = CodeParams(3000, 900, 100)
+        ecc = make_ecc("rep3", 1000)
+        tracemalloc.start()
+        try:
+            _reliability_block(0, 512, code, ecc, P_MAIN, 1, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 3000 * 8 // 2, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+class TestUniformBits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**63),
+        st.integers(0, 9),
+        st.integers(0, 40),
+        st.integers(0, 130),
+    )
+    def test_same_bits_and_state_as_bounded_draws(self, seed, prior, rows, width):
+        # a prior odd-sized byte draw leaves PCG64 holding half a uint64
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (ours, numpys):
+            rng.integers(0, 2, size=prior, dtype=np.uint8)
+        got = _uniform_bits(ours, rows, width)
+        want = numpys.integers(0, 2, size=(rows, width), dtype=np.uint8)
+        assert got.dtype == np.uint8 and got.shape == (rows, width)
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        assert ours.integers(0, 1 << 32, dtype=np.uint32) == numpys.integers(
+            0, 1 << 32, dtype=np.uint32
+        )
+        assert ours.standard_normal() == numpys.standard_normal()
+
+
 def _bits_of(text):
     return np.array([int(c) for c in text], dtype=np.uint8)
 
@@ -429,8 +468,20 @@ class TestBitDomainIdentity:
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}_{c[1]}_{c[2]}_{c[3]}_s{c[6]}")
     def test_report_is_bit_identical(self, case):
+        self._check(case)
+
+    # one frame per tile (the tile smaller than a frame, or just larger),
+    # and two frames per tile with a short last tile at odd counts
+    @pytest.mark.parametrize("tile", ["1", "n+1", "3n-1"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}_{c[1]}_{c[2]}_{c[3]}_s{c[6]}")
+    def test_report_is_bit_identical_in_small_tiles(self, monkeypatch, case, tile):
+        n = case[1]
+        monkeypatch.setattr(sim, "_TILE_DOUBLES", {"1": 1, "n+1": n + 1, "3n-1": 3 * n - 1}[tile])
+        self._check(case, workers=2)
+
+    def _check(self, case, **overrides):
         ecc, n, k, kp, e0, trials, seed, keywords, counts = case
-        keywords = dict(keywords)
+        keywords = dict(keywords, **overrides)
         if "hash_seed" in keywords:
             keywords["hash_seed"] = _bits_of(keywords["hash_seed"])
         params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0, e0=e0)
