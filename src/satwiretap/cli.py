@@ -3,11 +3,13 @@
 ``_SUBCOMMANDS`` holds each subcommand's help line, flags and handler. A flag is
 ``(flag, convert, default, help)``; ``convert`` reads VALUE in ``--flag VALUE`` or
 ``--flag=VALUE`` and raises ValueError on a bad one. A unique prefix of a flag
-works; a VALUE may start with '-' only when it is a negative number. Flags beat
-KEY=VALUE pairs from --config (keys are flag names with underscores, gamma_g=0.3,
-read by the same converters), which beat the defaults. Output is CSV with a
-header row to stdout or --out. Exit codes: 0 success or -h/--help, 1 domain
-error (message on stderr), 2 usage (usage line and error on stderr).
+works; a VALUE may start with '-' only when a digit or '.' follows, as in a
+negative number. Flags beat KEY=VALUE pairs from --config (keys are flag names
+with underscores, gamma_g=0.3, read by the same converters), which beat the
+defaults. Each handler returns its rows, dicts whose keys in order are the CSV
+header, and ``main`` writes them once, header first, to stdout or --out.
+Exit codes: 0 success or -h/--help, 1 domain error (message on stderr),
+2 usage (usage line and error on stderr).
 Each handler imports the package modules it uses when it is dispatched, so a
 process loads only what its subcommand needs (``bound`` never imports ``sim``).
 """
@@ -124,7 +126,7 @@ def _parse(flags: Sequence[tuple], argv: Sequence[str]) -> dict:
             text = "on"
         elif not eq:
             text = next(tokens, None)
-            if text is None or text[:1] == "-" and not text[1:2].isdigit():  # not a negative number
+            if text is None or text[:1] == "-" and not (text[1:2].isdigit() or text[1:2] == "."):
                 raise _Usage(f"argument {flag}: expected one argument")
         given[_dest(flag)] = _convert(f"argument {flag}: {text!r}", convert, text)
     return given
@@ -149,14 +151,14 @@ def _params_from(args):
     )
 
 
-def _cmd_geometry(args) -> None:
+def _cmd_geometry(args) -> List[dict]:
     from .geometry import GeometryConfig, alpha, beta, eve_stronger, gamma_g, protected_region_map
 
     if args.grid:
         theta_spec, _, ratio_spec = args.grid.partition(",")
         if not ratio_spec:
             raise ValueError("--grid needs THETA_LO:HI:N,RATIO_LO:HI:N")
-        rows = protected_region_map(
+        return protected_region_map(
             _linspace_spec(theta_spec),
             _linspace_spec(ratio_spec),
             r=args.r,
@@ -164,8 +166,6 @@ def _cmd_geometry(args) -> None:
             mu=args.mu,
             rho_b_km=args.rho_b,
         )
-        _emit(["theta_deg", "rho_ratio", "gamma_g", "protected"], rows, args.out)
-        return
     config = GeometryConfig(
         rho_b_km=args.rho_b,
         rho_e_km=args.rho_e,
@@ -174,22 +174,16 @@ def _cmd_geometry(args) -> None:
         a=args.a,
         mu=args.mu,
     )
-    row = {
-        "rho_b_km": args.rho_b,
-        "rho_e_km": args.rho_e,
-        "theta_e_deg": args.theta_e,
-        "r": args.r,
-        "a": args.a,
-        "mu": args.mu,
+    return [{
+        **vars(config),
         "beta": beta(args.r, args.rho_b, args.rho_e),
         "alpha": alpha(args.theta_e, args.a),
         "gamma_g": gamma_g(config),
         "eve_stronger": int(eve_stronger(config)),
-    }
-    _emit(list(row), [row], args.out)
+    }]
 
 
-def _cmd_capacity(args) -> None:
+def _cmd_capacity(args) -> List[dict]:
     from .capacity import (
         c_separation_condition,
         capacity_curves,
@@ -200,34 +194,24 @@ def _cmd_capacity(args) -> None:
     params = _params_from(args)
     if args.snr_sweep:
         snr_db = _linspace_spec(args.snr_sweep)
-        rows = capacity_curves(10.0 ** (snr_db / 10.0), params)
-        _emit(["snr_db", "c_bob", "c_eve", "c_s", "gauss_ref", "bsc_ref"], rows, args.out)
-        return
-    res = secrecy_capacity(params)
-    row = {
-        "gamma_g": args.gamma_g,
-        "gamma_n": args.gamma_n,
-        "n0": args.n0,
-        "e0": args.e0,
-        "c_bob": res.c_bob,
-        "c_eve": res.c_eve,
-        "c_s": res.c_s,
+        return capacity_curves(10.0 ** (snr_db / 10.0), params)
+    return [{
+        **vars(params),
+        **vars(secrecy_capacity(params)),
         "positive_condition": int(positivity_condition(params)),
         "c_separation": int(c_separation_condition(params)),
-    }
-    _emit(list(row), [row], args.out)
+    }]
 
 
-def _cmd_densities(args) -> None:
+def _cmd_densities(args) -> List[dict]:
     from .figures import density_rows
 
     if args.points < 2:
         raise ValueError("--points must be >= 2")
-    fields, rows = density_rows(args.side, _params_from(args), args.points)
-    _emit(fields, rows, args.out)
+    return density_rows(args.side, _params_from(args), args.points)
 
 
-def _cmd_bound(args) -> None:
+def _cmd_bound(args) -> List[dict]:
     from .leakage import CodeParams, min_leakage_bound
 
     if args.k_prime is not None and args.rho_sec is not None:
@@ -246,7 +230,7 @@ def _cmd_bound(args) -> None:
         for s, value in result.curve
     ]
     rows.append({"s": result.s_star, "log2_bound": result.log2_bound, "is_min": 1})
-    _emit(["s", "log2_bound", "is_min"], rows, args.out)
+    return rows
 
 
 def _require(args, names: Sequence[str]) -> None:
@@ -265,7 +249,7 @@ def _hex_flag(flag: str, text: str, length: int):
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def _cmd_code(args) -> None:
+def _cmd_code(args) -> List[dict]:
     from .code import _check_count, bits_to_hex, encode, hash_bits, make_ecc
 
     if args.op is None:
@@ -289,10 +273,10 @@ def _cmd_code(args) -> None:
         _require(args, ["word"])
         v = _hex_flag("--word", args.word, k + kp)
         row = {"op": "hash", "n": ecc.block_length, "digest": bits_to_hex(hash_bits(v, seed, k, kp))}
-    _emit(list(row), [row], args.out)
+    return [row]
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args) -> List[dict]:
     from .code import make_ecc
     from .leakage import CodeParams
     from .sim import run_reliability
@@ -312,44 +296,34 @@ def _cmd_simulate(args) -> None:
         block_size=args.block_size,
         hash_seed=hash_seed,
     )
-    row = {"master_seed": args.master_seed, **report.as_dict()}
-    _emit(list(row), [row], args.out)
+    return [{"master_seed": args.master_seed, **vars(report)}]
 
 
-def _cmd_oracle(args) -> None:
+def _cmd_oracle(args) -> List[dict]:
     from .code import make_ecc
     from .leakage import CodeParams
-    from .sim import exact_leakage, make_eve_quantizer
+    from .sim import _check_oracle_instance, exact_leakage, make_eve_quantizer
 
     code = CodeParams(n=args.n, k=args.k, k_prime=args.k_prime)
     ecc = make_ecc(args.ecc, args.k + args.k_prime)
     params = _params_from(args)
+    _check_oracle_instance(code, ecc, args.levels)  # before the quantizer allocates its levels
     quantizer = make_eve_quantizer(params, levels=args.levels)
     report = exact_leakage(code, ecc, quantizer, params)
     if args.per_seed:
-        rows = [{"seed_hex": h, "leak_bits": leak} for h, leak in report.per_seed]
-        _emit(["seed_hex", "leak_bits"], rows, args.out)
-        return
-    row = {
-        "n": report.n,
-        "k": report.k,
-        "k_prime": report.k_prime,
-        "levels": report.levels,
-        "exact_leak_bits": report.exact_leak_bits,
-        "bound_log2": report.bound_log2,
-        "bound_bits": report.bound_bits,
-        "bound_holds": int(report.exact_leak_bits <= report.bound_bits or report.bound_bits > report.k),
-    }
-    _emit(list(row), [row], args.out)
+        return [{"seed_hex": h, "leak_bits": leak} for h, leak in report.per_seed]
+    row = dict(vars(report))
+    del row["per_seed"]
+    row["bound_holds"] = int(report.exact_leak_bits <= report.bound_bits or report.bound_bits > report.k)
+    return [row]
 
 
-def _cmd_reproduce(args) -> None:
+def _cmd_reproduce(args) -> List[dict]:
     from .figures import figure_data
 
     if args.figure is None:
         raise ValueError("--figure is required (1..11)")
-    fields, rows = figure_data(args.figure)
-    _emit(fields, rows, args.out)
+    return figure_data(args.figure)
 
 
 # name -> (help, flags, handler), in the order help lists them
@@ -459,7 +433,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 values[key] = _convert(where, converters[key], value, ValueError)
         values.update(given)
         with np.errstate(over="raise", divide="raise", invalid="raise"):  # not a nan cell
-            handler(SimpleNamespace(**values))
+            rows = handler(SimpleNamespace(**values))
+        _emit(list(rows[0]), rows, values["out"])
     except _Usage as exc:
         print(f"{_usage(name, flags)}\nsatwiretap {name}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

@@ -1,16 +1,17 @@
 """Pinned parameter presets behind the `reproduce` CLI subcommand.
 
-Each figure_N() returns (fieldnames, rows) for one CSV dataset. Operating
-points and block lengths for the leakage-bound figures (9-11) are exact;
-geometry and capacity figures (1-8) use documented qualitative grids because
-their source plots carry no numeric tables. Orbit presets are standard
-altitudes: LEO 1000 km, MEO 10000 km, GEO 35786 km.
+Each figure_N() returns the rows of one CSV dataset, dicts whose keys in
+order are its header. Operating points and block lengths for the
+leakage-bound figures (9-11) are exact; geometry and capacity figures (1-8)
+use documented qualitative grids because their source plots carry no numeric
+tables. Orbit presets are standard altitudes: LEO 1000 km, MEO 10000 km,
+GEO 35786 km.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -19,8 +20,6 @@ from .channel import WiretapChannelParams, density_eve, mixture_density_eve
 from .channel import density_bob, mixture_density_bob
 from .geometry import beta, protected_region_map
 from .leakage import CodeParams, _min_bound_rows, e0
-
-Rows = Tuple[List[str], List[dict]]
 
 ORBITS = (("leo", 1000.0), ("meo", 10000.0), ("geo", 35786.0))
 
@@ -34,9 +33,8 @@ def _protected_angle(mu_beta: float, a: float) -> float:
     return mu_beta ** (1.0 / a)
 
 
-def figure_1() -> Rows:
+def figure_1() -> List[dict]:
     """Protected angular threshold vs relative Eve distance per orbit and r."""
-    fields = ["orbit", "rho_b_km", "r", "rho_ratio", "beta", "theta_star_deg"]
     ratios = np.logspace(-2, 0, 41)
     rows = []
     for orbit, rho_b in ORBITS:
@@ -53,11 +51,10 @@ def figure_1() -> Rows:
                         "theta_star_deg": _protected_angle(b, 2.0),
                     }
                 )
-    return fields, rows
+    return rows
 
 
-def _region_rows(extra_name: str, extra_values, **kwargs) -> Rows:
-    fields = [extra_name, "theta_deg", "rho_ratio", "gamma_g", "protected"]
+def _region_rows(extra_name: str, extra_values, **kwargs) -> List[dict]:
     thetas = np.linspace(0.5, 8.0, 26)
     ratios = np.logspace(-2, 0, 21)
     rows = []
@@ -66,38 +63,33 @@ def _region_rows(extra_name: str, extra_values, **kwargs) -> Rows:
         params[extra_name] = value
         cells = protected_region_map(thetas, ratios, **params)
         rows += ({extra_name: value, **cell} for cell in cells)
-    return fields, rows
+    return rows
 
 
-def figure_2() -> Rows:
+def figure_2() -> List[dict]:
     """Eve amplitude surfaces for favourable vs unfavourable antenna gains."""
     return _region_rows("mu", (1.0, 0.1), r=2.0, a=2.0, rho_b_km=1000.0)
 
 
-def figure_3() -> Rows:
+def figure_3() -> List[dict]:
     """Eve amplitude surfaces for free-space vs steeper propagation, LEO."""
     return _region_rows("r", (2.0, 2.2), a=2.0, mu=1.0, rho_b_km=1000.0)
 
 
-def figure_4() -> Rows:
+def figure_4() -> List[dict]:
     """Secrecy capacity vs gamma_g for several Eve noise ratios, E0=N0=1."""
-    fields = ["gamma_g", "gamma_n", "c_s"]
-    gg = np.linspace(0.0, 1.5, 61)
-    rows = cs_gamma_sweep(gg, (1.0, 2.0, 4.0))
-    return fields, rows
+    return cs_gamma_sweep(np.linspace(0.0, 1.5, 61), (1.0, 2.0, 4.0))
 
 
-def figure_5() -> Rows:
+def figure_5() -> List[dict]:
     """Bob/Eve BI-AWGN capacities vs SNR with Gaussian and BSC references."""
-    fields = ["snr_db", "c_bob", "c_eve", "c_s", "gauss_ref", "bsc_ref"]
     params = WiretapChannelParams(gamma_g=0.5, gamma_n=1.0)
     snr_linear = 10.0 ** (np.arange(-10.0, 10.01, 0.5) / 10.0)
-    return fields, capacity_curves(snr_linear, params)
+    return capacity_curves(snr_linear, params)
 
 
-def density_rows(side: str, params: WiretapChannelParams, points: int = 401) -> Rows:
+def density_rows(side: str, params: WiretapChannelParams, points: int = 401) -> List[dict]:
     """Conditional and mixture pdfs at `points` outputs over +-(amplitude + 4 sigma)."""
-    fields = ["y", "pdf_plus", "pdf_minus", "pdf_mix"]
     if side == "bob":
         amp, var = params.bob_amplitude, params.bob_noise_var
         one, mix = density_bob, mixture_density_bob
@@ -107,23 +99,22 @@ def density_rows(side: str, params: WiretapChannelParams, points: int = 401) -> 
     span = amp + 4.0 * math.sqrt(var)
     grid = np.linspace(-span, span, points)
     columns = (grid, one(grid, +1, params), one(grid, -1, params), mix(grid, params))
-    rows = [dict(zip(fields, values)) for values in zip(*(c.tolist() for c in columns))]
-    return fields, rows
+    names = ("y", "pdf_plus", "pdf_minus", "pdf_mix")
+    return [dict(zip(names, values)) for values in zip(*(c.tolist() for c in columns))]
 
 
-def figure_6() -> Rows:
+def figure_6() -> List[dict]:
     """Mixture density at Bob, E0=N0=1."""
     return density_rows("bob", WiretapChannelParams(gamma_g=0.5, gamma_n=1.0))
 
 
-def figure_7() -> Rows:
+def figure_7() -> List[dict]:
     """Mixture density at Eve for gamma_g=0.5."""
     return density_rows("eve", WiretapChannelParams(gamma_g=0.5, gamma_n=1.0))
 
 
-def figure_8() -> Rows:
+def figure_8() -> List[dict]:
     """Positivity-condition accuracy over the (gamma_g, gamma_n) plane."""
-    fields = ["gamma_g", "gamma_n", "sqrt_gamma_n", "c_s", "predicate", "measured"]
     gn_grid = np.arange(0.25, 2.251, 0.25)
     gg_grid = np.arange(0.05, 1.501, 0.05)
     c_s = {(r["gamma_g"], r["gamma_n"]): r["c_s"] for r in cs_gamma_sweep(gg_grid, gn_grid)}
@@ -141,12 +132,11 @@ def figure_8() -> Rows:
                     "measured": int(cs > 1e-12),
                 }
             )
-    return fields, rows
+    return rows
 
 
-def figure_9() -> Rows:
+def figure_9() -> List[dict]:
     """Leakage exponent E0_max(s) vs s for two gamma_g and several gamma_n."""
-    fields = ["gamma_g", "gamma_n", "s", "e0_max_nats"]
     rows = []
     s_grid = np.linspace(0.01, 0.99, 99)
     for gg in (0.6, 0.3):
@@ -155,20 +145,10 @@ def figure_9() -> Rows:
             params = WiretapChannelParams(gamma_g=gg, gamma_n=gn)
             for s, value in zip(s_grid.tolist(), e0(s_grid, params).tolist()):
                 rows.append({"gamma_g": gg, "gamma_n": gn, "s": s, "e0_max_nats": value})
-    return fields, rows
+    return rows
 
 
-def _bound_sweep(n: int, points) -> Rows:
-    fields = [
-        "gamma_g",
-        "sqrt_gamma_n",
-        "gamma_n",
-        "n",
-        "rho_sec",
-        "k_prime",
-        "s_star",
-        "log2_bound",
-    ]
+def _bound_sweep(n: int, points) -> List[dict]:
     rows = []
     rho_grid = np.arange(0.005, 0.3001, 0.005).tolist()
     codes = [CodeParams(n=n, k=n - kp, k_prime=kp) for kp in (round(rho * n) for rho in rho_grid)]
@@ -191,15 +171,15 @@ def _bound_sweep(n: int, points) -> Rows:
                     "log2_bound": bound,
                 }
             )
-    return fields, rows
+    return rows
 
 
-def figure_10() -> Rows:
+def figure_10() -> List[dict]:
     """Minimized leakage bound vs secrecy rate, n=32400 broadcast frame."""
     return _bound_sweep(32400, ((0.3, SQRT2), (0.5, SQRT2)))
 
 
-def figure_11() -> Rows:
+def figure_11() -> List[dict]:
     """Minimized leakage bound vs secrecy rate, n=8192 deep-space frame."""
     return _bound_sweep(8192, ((0.3, 1.0), (0.3, SQRT2)))
 
@@ -219,7 +199,7 @@ FIGURES: Dict[int, object] = {
 }
 
 
-def figure_data(figure: int) -> Rows:
+def figure_data(figure: int) -> List[dict]:
     """Dataset behind one numbered figure; raises on unknown ids."""
     try:
         fn = FIGURES[figure]

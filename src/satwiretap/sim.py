@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -94,9 +94,6 @@ class ReliabilityReport:
     fer: float
     ber_ci95: float
     fer_ci95: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _half_width(p: float, n: int) -> float:
@@ -391,6 +388,22 @@ def _extend(q: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out.reshape(q.shape[0], -1)
 
 
+def _check_oracle_instance(code: CodeParams, ecc: EccScheme, levels: int) -> None:
+    """ValueError unless exact_leakage can enumerate this instance; needs no quantizer."""
+    _check_count("levels", levels, 2)
+    k, kp, n = code.k, code.k_prime, code.n
+    if k + kp > _MAX_HASH_INPUT_BITS:
+        raise ValueError(f"instance too large: k+k' = {k + kp} > {_MAX_HASH_INPUT_BITS}")
+    if n > _MAX_ORACLE_BLOCK:
+        raise ValueError(f"instance too large: n = {n} > {_MAX_ORACLE_BLOCK}")
+    if ecc.message_length != k + kp:
+        raise ValueError(f"ECC message length {ecc.message_length} != k+k' = {k + kp}")
+    if ecc.block_length != n:
+        raise ValueError(f"ECC block length {ecc.block_length} != n = {n}")
+    if (1 << (k + kp)) * levels**n > _MAX_ORACLE_CELLS:
+        raise ValueError("instance too large: output table exceeds the enumeration cap")
+
+
 def exact_leakage(
     code: CodeParams,
     ecc: EccScheme,
@@ -418,20 +431,11 @@ def exact_leakage(
     cells, so the tree's buffers stay small and the full output table is
     never built.
     """
-    k, kp, n = code.k, code.k_prime, code.n
-    if k + kp > _MAX_HASH_INPUT_BITS:
-        raise ValueError(f"instance too large: k+k' = {k + kp} > {_MAX_HASH_INPUT_BITS}")
-    if n > _MAX_ORACLE_BLOCK:
-        raise ValueError(f"instance too large: n = {n} > {_MAX_ORACLE_BLOCK}")
-    if ecc.message_length != k + kp:
-        raise ValueError(f"ECC message length {ecc.message_length} != k+k' = {k + kp}")
-    if ecc.block_length != n:
-        raise ValueError(f"ECC block length {ecc.block_length} != n = {n}")
     if quantizer is None:
         quantizer = make_eve_quantizer(params)
     levels = quantizer.levels
-    if (1 << (k + kp)) * levels**n > _MAX_ORACLE_CELLS:
-        raise ValueError("instance too large: output table exceeds the enumeration cap")
+    _check_oracle_instance(code, ecc, levels)
+    k, kp, n = code.k, code.k_prime, code.n
 
     rows = np.stack([quantizer.level_probs(+1.0, params), quantizer.level_probs(-1.0, params)])
     # factors[w, i] = P(level of z_i | codeword bit i) for raw hash input w

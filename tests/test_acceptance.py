@@ -8,6 +8,7 @@ operating points; see README for the reproduction analysis.
 
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 from scipy.stats import norm
@@ -221,7 +222,7 @@ def test_criterion_11_worker_count_determinism():
     kwargs = dict(trials=20_000, master_seed=42, block_size=1024)
     one = run_reliability(CodeParams(7, 2, 2), ecc, params, workers=1, **kwargs)
     eight = run_reliability(CodeParams(7, 2, 2), ecc, params, workers=8, **kwargs)
-    ok = one == eight and repr(one) == repr(eight) and one.as_dict() == eight.as_dict()
+    ok = one == eight and repr(one) == repr(eight) and asdict(one) == asdict(eight)
     _check(
         11,
         ok,

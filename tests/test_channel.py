@@ -91,7 +91,7 @@ class TestParams:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             cells = [secrecy_capacity(p).c_s, e0(0.5, p), psi(1.0, p)]
             for side in ("bob", "eve"):
-                cells += density_rows(side, p, points=9)[1][4].values()
+                cells += density_rows(side, p, points=9)[4].values()
             cells += make_eve_quantizer(p).level_probs(1.0, p).tolist()
         assert all(math.isfinite(cell) for cell in cells)
 

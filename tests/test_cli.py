@@ -8,6 +8,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satwiretap import cli
 from satwiretap.cli import _COMMON, _SUBCOMMANDS, _emit, _load_config, main
 from satwiretap.code import bits_to_hex, hash_bits, hex_to_bits
 
@@ -328,6 +330,18 @@ class TestOracle:
         rc, _, err = run_cli(capsys, "oracle", "--n", "13", "--k", "5", "--k-prime", "5")
         assert rc == 1 and "error:" in err
 
+    def test_level_cap_is_checked_before_the_quantizer_is_built(self, capsys):
+        # the quantizer would hold about 85 B per level; the cap refuses this size first
+        tracemalloc.start()
+        try:
+            rc, out, err = run_cli(capsys, "oracle", "--levels", "2000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (1, "")
+        assert err == "error: instance too large: output table exceeds the enumeration cap\n"
+        assert peak < 1 << 20
+
 
 class TestReproduce:
     def test_figure_dataset(self, capsys):
@@ -590,6 +604,10 @@ class TestFrontEnd:
         assert full == short and full[0] == 0
         rc, _, err = run_cli(capsys, "capacity", "--gamma-n", "-1e-3")
         assert rc == 1 and err == "error: gamma_n must be > 0, got -0.001\n"
+        rc, out, _ = run_cli(capsys, "capacity", "--snr-sweep", "-.5:1:3")
+        assert rc == 0 and len(rows_of(out)) == 3
+        rc, _, err = run_cli(capsys, "capacity", "--gamma-g", "-.5")
+        assert rc == 1 and err == "error: gamma_g must be >= 0, got -0.5\n"
 
     def test_unknown_argument_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -628,9 +646,51 @@ _CHEAP_ARGV = {
     "bound": ["--n", "64", "--s-grid", "100"],
     "code": ["--op", "hash", "--k", "2", "--k-prime", "2", "--seed", "a0", "--word", "f0"],
     "simulate": ["--n", "3", "--k", "1", "--k-prime", "0", "--ecc", "rep3", "--trials", "64"],
-    "oracle": ["--n", "3", "--k", "1", "--k-prime", "1", "--levels", "2"],
+    "oracle": ["--n", "2", "--k", "1", "--k-prime", "1", "--levels", "2"],
     "reproduce": ["--figure", "1"],
 }
+
+
+@pytest.mark.parametrize("name", _CHEAP_ARGV)
+def test_each_invocation_emits_once(monkeypatch, name):
+    calls = []
+    monkeypatch.setattr(cli, "_emit", lambda *args: calls.append(args))
+    assert main([name, *_CHEAP_ARGV[name]]) == 0
+    ((fields, rows, out),) = calls
+    assert fields == list(rows[0]) and out is None
+
+
+_CODE = ["code", "--k", "2", "--k-prime", "2", "--ecc", "hamming74", "--seed", "a0"]
+_ORACLE = ["oracle", *_CHEAP_ARGV["oracle"]]
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["geometry"], "rho_b_km,rho_e_km,theta_e_deg,r,a,mu,beta,alpha,gamma_g,eve_stronger"),
+        (["geometry", "--grid", "0.5:2:2,0.1:1:2"], "theta_deg,rho_ratio,gamma_g,protected"),
+        (["capacity"],
+         "gamma_g,gamma_n,n0,e0,c_bob,c_eve,c_s,positive_condition,c_separation"),
+        (["capacity", "--snr-sweep", "0:1:2"], "snr_db,c_bob,c_eve,c_s,gauss_ref,bsc_ref"),
+        (["densities", "--points", "3"], "y,pdf_plus,pdf_minus,pdf_mix"),
+        (["bound", "--n", "64", "--s-grid", "100"], "s,log2_bound,is_min"),
+        ([*_CODE, "--op", "encode", "--message", "80", "--sacrifice", "40"], "op,n,codeword"),
+        ([*_CODE, "--op", "decode", "--word", "d2"], "op,n,message"),
+        ([*_CODE, "--op", "hash", "--word", "f0"], "op,n,digest"),
+        (["simulate", *_CHEAP_ARGV["simulate"]],
+         "master_seed,trials,message_bits,bit_errors,frame_errors,decode_failures,"
+         "ber,fer,ber_ci95,fer_ci95"),
+        (_ORACLE, "n,k,k_prime,levels,exact_leak_bits,bound_log2,bound_bits,bound_holds"),
+        ([*_ORACLE, "--per-seed"], "seed_hex,leak_bits"),
+    ],
+)
+def test_csv_header_is_pinned(capsys, argv, header):
+    # point headers come from dataclass field names: a renamed field must fail here
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == header
+
+
 _ODD_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", str(10**30), "x", "")
 # 10**30 trials is real work and 10**30 threads would start threads: these two
 # get only values they reject. The other sizes reject 10**30 themselves, numpy

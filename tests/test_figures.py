@@ -39,10 +39,10 @@ def by(rows, **match):
 
 @pytest.mark.parametrize("i", sorted(FIGURES))
 def test_schema(i):
-    fields, rows = fig(i)
-    assert fields and rows
-    assert list(rows[0]) == fields
-    assert list(rows[-1]) == fields
+    rows = fig(i)
+    header = list(rows[0])
+    assert header
+    assert all(list(row) == header for row in rows)
 
 
 @pytest.mark.parametrize("i", sorted(FIGURES))
@@ -51,6 +51,18 @@ def test_matches_golden_reference(i, tmp_path):
     assert main(["reproduce", "--figure", str(i), "--out", str(out)]) == 0
     want = (PERFBENCH / "ref" / f"figure_{i}.csv").read_text()
     assert workloads.compare_csv(out.read_text(), want, workloads.FIGURE_TOL) == []
+
+
+@pytest.mark.parametrize("name", ["bound_scan", "oracle", "simulate"])
+def test_benchmark_workload_passes_its_own_checks(name, capsys):
+    # every argv the benchmark runs at seed 1, through the CLI, against its references
+    refs = workloads.load_refs()
+    for invocation in workloads.build(name, 1, refs):
+        assert invocation.key in refs[name]
+        assert main(invocation.argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert invocation.check(captured.out) == [], invocation.key
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 6, 7])
@@ -67,12 +79,12 @@ def test_quadrature_free_figures_byte_identical(i, capsys):
 )
 def test_density_rows_equal_scalar_calls(side, one, mix):
     params = WiretapChannelParams(gamma_g=0.7, gamma_n=1.9, n0=0.8, e0=1.1)
-    fields, rows = density_rows(side, params, points=57)
+    rows = density_rows(side, params, points=57)
     assert len(rows) == 57
     for row in rows:
         y = row["y"]
         want = [y, float(one(y, +1, params)), float(one(y, -1, params)), float(mix(y, params))]
-        assert [row[f] for f in fields] == want
+        assert list(row.values()) == want
         assert all(type(v) is float for v in row.values())
 
 
@@ -83,7 +95,7 @@ def test_unknown_id(i):
 
 
 def test_fig1_threshold_shrinks_with_distance():
-    _, rows = fig(1)
+    rows = fig(1)
     for orbit in ("leo", "meo", "geo"):
         for r in (2.0, 2.2):
             grp = by(rows, orbit=orbit, r=r)
@@ -101,7 +113,7 @@ def test_fig1_threshold_shrinks_with_distance():
 
 
 def test_fig2_weak_antenna_expands_protection():
-    _, rows = fig(2)
+    rows = fig(2)
     strong = by(rows, mu=1.0)
     weak = by(rows, mu=0.1)
     assert len(strong) == len(weak) == 26 * 21
@@ -111,7 +123,7 @@ def test_fig2_weak_antenna_expands_protection():
 
 
 def test_fig4_capacity_dies_past_the_boundary():
-    _, rows = fig(4)
+    rows = fig(4)
     for row in rows:
         if row["gamma_g"] >= math.sqrt(row["gamma_n"]):
             assert row["c_s"] == 0.0
@@ -123,7 +135,7 @@ def test_fig4_capacity_dies_past_the_boundary():
 
 
 def test_fig5_reference_orderings():
-    _, rows = fig(5)
+    rows = fig(5)
     for row in rows:
         assert row["c_s"] == pytest.approx(row["c_bob"] - row["c_eve"], abs=1e-12)
         assert row["bsc_ref"] <= row["c_bob"] + 1e-12 <= row["gauss_ref"] + 2e-12
@@ -133,7 +145,7 @@ def test_fig5_reference_orderings():
 
 def test_fig6_fig7_densities_normalized_shape():
     for i in (6, 7):
-        _, rows = fig(i)
+        rows = fig(i)
         assert len(rows) == 401
         mid = rows[200]
         assert mid["y"] == pytest.approx(0.0, abs=1e-12)
@@ -141,13 +153,13 @@ def test_fig6_fig7_densities_normalized_shape():
 
 
 def test_fig8_predicate_matches_measurement_everywhere():
-    _, rows = fig(8)
+    rows = fig(8)
     assert len(rows) == 9 * 30
     assert all(row["predicate"] == row["measured"] for row in rows)
 
 
 def test_fig9_exponent_orderings():
-    _, rows = fig(9)
+    rows = fig(9)
     for gn in (1.0, 2.0, 4.0):
         strong = [r["e0_max_nats"] for r in by(rows, gamma_g=0.6, gamma_n=gn)]
         weak = [r["e0_max_nats"] for r in by(rows, gamma_g=0.3, gamma_n=gn)]
@@ -157,7 +169,7 @@ def test_fig9_exponent_orderings():
 
 @pytest.mark.parametrize("i", [10, 11])
 def test_bound_figures_monotone_in_rate(i):
-    _, rows = fig(i)
+    rows = fig(i)
     points = sorted({(r["gamma_g"], r["sqrt_gamma_n"]) for r in rows})
     assert len(points) == 2
     for gg, sgn in points:

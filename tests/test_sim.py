@@ -2,6 +2,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -297,7 +298,7 @@ class TestRunReliability:
         report = run_reliability(
             CodeParams(1, 1, 0), make_ecc("identity", 1), params, 1000, 1
         )
-        d = report.as_dict()
+        d = asdict(report)
         assert d["trials"] == 1000
         assert d["bit_errors"] == report.bit_errors
         assert d["ber"] == report.ber
