@@ -194,7 +194,9 @@ def _cmd_capacity(args) -> List[dict]:
     params = _params_from(args)
     if args.snr_sweep:
         snr_db = _linspace_spec(args.snr_sweep)
-        return capacity_curves(10.0 ** (snr_db / 10.0), params)
+        rows = capacity_curves(10.0 ** (snr_db / 10.0), params)
+        # the requested grid, not its round trip through linear SNR
+        return [{**row, "snr_db": db} for row, db in zip(rows, snr_db.tolist())]
     return [{
         **vars(params),
         **vars(secrecy_capacity(params)),

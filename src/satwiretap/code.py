@@ -145,7 +145,9 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
 def _unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
     """The first `width` bits of each _pack_rows row as a (B, width) 0/1 array."""
     big_endian = np.ascontiguousarray(words.T, dtype=">u8")
-    return np.unpackbits(big_endian.view(np.uint8)).reshape(words.shape[1], -1)[:, :width]
+    bits = np.unpackbits(big_endian.view(np.uint8))
+    # the row width spelled out: a batch of zero rows has none to infer
+    return bits.reshape(words.shape[1], 64 * words.shape[0])[:, :width]
 
 
 def _toeplitz_words(
@@ -276,9 +278,10 @@ class Repetition3Code(EccScheme):
 class Hamming74Code(EccScheme):
     """Classic (7,4) single-error-correcting code, syndrome decoding.
 
-    Codeword layout is the 1-indexed standard: parity bits at positions 1, 2,
-    4 and data at 3, 5, 6, 7; the syndrome value is the 1-indexed error
-    position (0 = clean).
+    Built from its message length like the other schemes; 4 is the only one
+    it takes. Codeword layout is the 1-indexed standard: parity bits at
+    positions 1, 2, 4 and data at 3, 5, 6, 7; the syndrome value is the
+    1-indexed error position (0 = clean).
     """
 
     name = "hamming74"
@@ -286,6 +289,10 @@ class Hamming74Code(EccScheme):
     block_length = 7
 
     _DATA_POS = np.array([2, 4, 5, 6])
+
+    def __init__(self, message_length: int = 4):
+        if _check_count("message_length", message_length, 1) != 4:
+            raise ValueError("hamming74 requires k + k' = 4")
 
     def encode(self, v: np.ndarray) -> np.ndarray:
         v = _last_axis(v, 4, "message")
@@ -307,21 +314,14 @@ class Hamming74Code(EccScheme):
         return b[..., self._DATA_POS] ^ (syndrome[..., None] == self._DATA_POS + 1)
 
 
-ECC_NAMES = ("identity", "rep3", "hamming74")
+_ECCS = {scheme.name: scheme for scheme in (IdentityCode, Repetition3Code, Hamming74Code)}
 
 
 def make_ecc(name: str, message_length: int) -> EccScheme:
     """Instantiate a registered ECC scheme for a k+k' bit message."""
-    message_length = _check_count("message_length", message_length, 1)
-    if name == "identity":
-        return IdentityCode(message_length)
-    if name == "rep3":
-        return Repetition3Code(message_length)
-    if name == "hamming74":
-        if message_length != 4:
-            raise ValueError("hamming74 requires k + k' = 4")
-        return Hamming74Code()
-    raise ValueError(f"unknown ECC scheme {name!r}; choose from {ECC_NAMES}")
+    if not isinstance(name, str) or name not in _ECCS:
+        raise ValueError(f"unknown ECC scheme {name!r}; choose from {tuple(_ECCS)}")
+    return _ECCS[name](message_length)
 
 
 def encode(m, l, seed, ecc: EccScheme) -> np.ndarray:
@@ -336,10 +336,7 @@ def encode(m, l, seed, ecc: EccScheme) -> np.ndarray:
     k = _check_count("k", m.size, 1)
     if ecc.message_length != k + l.size:
         raise ValueError(f"ECC expects {ecc.message_length} bits, got k+k' = {k + l.size}")
-    seed = _check_bits("seed", seed, k + l.size - 1)
-    words = _pack_rows(np.concatenate([m, l])[None])
-    mixed = _hash_words(_pack_rows(seed[None]), words, k, l.size)
-    return ecc.encode(np.concatenate([_unpack_rows(mixed, k)[0], l]))
+    return ecc.encode(np.concatenate([hash_bits(np.concatenate([m, l]), seed, k, l.size), l]))
 
 
 def decode(y, seed, ecc: EccScheme, k: int) -> np.ndarray:

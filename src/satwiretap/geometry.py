@@ -38,6 +38,8 @@ class GeometryConfig:
     exponent (2 = free space), `a` the antenna power-decay exponent, `mu` the
     relative antenna gain toward Eve in [0, 1]. The secrecy math depends on
     these ratios alone, so peak gains and the carrier wavelength do not enter.
+    The domain is that of beta and alpha, so a config whose beta leaves the
+    float range is refused.
     """
 
     rho_b_km: float
@@ -49,14 +51,8 @@ class GeometryConfig:
 
     def __post_init__(self) -> None:
         _require_finite(**{field.name: getattr(self, field.name) for field in fields(self)})
-        if self.rho_b_km <= 0 or self.rho_e_km <= 0:
-            raise ValueError("distances must be strictly positive")
-        if self.theta_e_deg < 0:
-            raise ValueError(f"theta_e_deg must be >= 0, got {self.theta_e_deg}")
-        if self.r < 2:
-            raise ValueError(f"propagation exponent r must be >= 2, got {self.r}")
-        if self.a <= 0:
-            raise ValueError(f"antenna exponent a must be > 0, got {self.a}")
+        beta(self.r, self.rho_b_km, self.rho_e_km)
+        alpha(self.theta_e_deg, self.a)
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
 

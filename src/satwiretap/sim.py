@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -149,6 +150,17 @@ def _uniform_bits(rng: np.random.Generator, rows: int, width: int) -> np.ndarray
     return bits.reshape(rows, width)
 
 
+def _check_frame(code: CodeParams, ecc: EccScheme) -> None:
+    """ValueError unless ecc maps a frame's k >= 1 secret and k' sacrifice bits to n bits."""
+    k, kp, n = code.k, code.k_prime, code.n
+    if k < 1:
+        raise ValueError(f"k must be >= 1 to count message-bit errors, got {k}")
+    if ecc.message_length != k + kp:
+        raise ValueError(f"ECC message length {ecc.message_length} != k+k' = {k + kp}")
+    if ecc.block_length != n:
+        raise ValueError(f"ECC block length {ecc.block_length} != n = {n}")
+
+
 def _reliability_block(
     block_index: int,
     count: int,
@@ -221,30 +233,23 @@ def run_reliability(
     decodes. Pass `hash_seed` (k+k'-1 bits) to pin the hash for debugging.
     The trial stream is partitioned into fixed blocks whose RNG substreams
     depend only on (master_seed, block_index), so the report is identical for
-    every `workers` value. With J = min(workers, blocks) threads, thread j
-    runs blocks j, j+J, j+2J, ... and keeps only its integer sums, so memory
-    does not grow with the number of blocks; within a block it grows with
-    block_size * (k+k') bytes, not with block_size * n normals. The threads
-    run under the caller's np.errstate. Propagates DecodeFailure from the
-    ECC layer.
+    every `workers` value, and the threads stop at the core count. With J =
+    min(workers, blocks, os.cpu_count()) threads, thread j runs blocks j,
+    j+J, j+2J, ... and keeps only its integer sums, so memory does not grow
+    with the number of blocks; within a block it grows with block_size *
+    (k+k') bytes, not with block_size * n normals. The threads run under the
+    caller's np.errstate. Propagates DecodeFailure from the ECC layer.
     """
     trials = _check_count("trials", trials, 1)
     master_seed = _check_count("master_seed", master_seed, 0)
     workers = _check_count("workers", workers, 1)
     block_size = _check_count("block_size", block_size, 1)
-    if code.k < 1:
-        raise ValueError(f"k must be >= 1 to count message-bit errors, got {code.k}")
-    if ecc.message_length != code.k + code.k_prime:
-        raise ValueError(
-            f"ECC message length {ecc.message_length} != k+k' = {code.k + code.k_prime}"
-        )
-    if ecc.block_length != code.n:
-        raise ValueError(f"ECC block length {ecc.block_length} != n = {code.n}")
+    _check_frame(code, ecc)
     if hash_seed is not None:
         hash_seed = _check_bits("hash_seed", hash_seed, code.k + code.k_prime - 1)
 
     blocks = -(-trials // block_size)
-    jobs = min(workers, blocks)
+    jobs = min(workers, blocks, os.cpu_count() or 1)
 
     def tally(first: int) -> Tuple[int, int, int]:
         # every jobs-th block from `first`, summed as it runs
@@ -396,10 +401,7 @@ def _check_oracle_instance(code: CodeParams, ecc: EccScheme, levels: int) -> Non
         raise ValueError(f"instance too large: k+k' = {k + kp} > {_MAX_HASH_INPUT_BITS}")
     if n > _MAX_ORACLE_BLOCK:
         raise ValueError(f"instance too large: n = {n} > {_MAX_ORACLE_BLOCK}")
-    if ecc.message_length != k + kp:
-        raise ValueError(f"ECC message length {ecc.message_length} != k+k' = {k + kp}")
-    if ecc.block_length != n:
-        raise ValueError(f"ECC block length {ecc.block_length} != n = {n}")
+    _check_frame(code, ecc)
     if (1 << (k + kp)) * levels**n > _MAX_ORACLE_CELLS:
         raise ValueError("instance too large: output table exceeds the enumeration cap")
 

@@ -169,6 +169,13 @@ class TestCurves:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             capacity_curves([], _params(0.5, 1.0))
+        for grids in (([], [1.0]), ([0.5], [])):
+            with pytest.raises(ValueError, match="grids must be non-empty"):
+                cs_gamma_sweep(*grids)
+
+    def test_bsc_reference_saturates_at_high_snr(self):
+        # Q(100) is 0.0 in double precision, and h2(0) = 0
+        assert capacity_curves([1e4], _params(0.5, 1.0))[0]["bsc_ref"] == 1.0
 
     def test_nonpositive_snr_rejected(self):
         with pytest.raises(ValueError):

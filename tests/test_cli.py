@@ -111,6 +111,14 @@ class TestCapacity:
         assert all(v >= 0.0 for v in cs)
         assert cs[-1] > cs[0]
 
+    def test_sweep_prints_the_requested_grid(self, capsys):
+        # not the grid's round trip through linear SNR (-0.49999999999999983)
+        rc, out, _ = run_cli(capsys, "capacity", "--snr-sweep", "-.5:1:3")
+        assert rc == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == [
+            "snr_db", "-0.5", "0.25", "1.0",
+        ]
+
     def test_domain_error_exits_one(self, capsys):
         rc, _, err = run_cli(capsys, "capacity", "--gamma-n", "-1")
         assert rc == 1
@@ -329,6 +337,18 @@ class TestOracle:
     def test_oversized_instance_exits_one(self, capsys):
         rc, _, err = run_cli(capsys, "oracle", "--n", "13", "--k", "5", "--k-prime", "5")
         assert rc == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "4", "--k", "0", "--k-prime", "4"),
+            ("--n", "3", "--k", "0", "--k-prime", "1", "--ecc", "rep3"),
+        ],
+    )
+    def test_no_message_bits_exits_one_naming_k(self, capsys, argv):
+        rc, out, err = run_cli(capsys, "oracle", *argv)
+        assert (rc, out) == (1, "")
+        assert err == "error: k must be >= 1 to count message-bit errors, got 0\n"
 
     def test_level_cap_is_checked_before_the_quantizer_is_built(self, capsys):
         # the quantizer would hold about 85 B per level; the cap refuses this size first
@@ -747,6 +767,14 @@ def test_an_empty_exception_message_prints_the_exception_name(capsys, monkeypatc
     monkeypatch.setattr("satwiretap.sim.run_reliability", no_memory)
     rc, out, err = run_cli(capsys, "simulate", *_CHEAP_ARGV["simulate"])
     assert (rc, out, err) == (1, "", "error: MemoryError\n")
+
+
+def test_a_closed_pipe_exits_zero(capsys, monkeypatch):
+    def closed(*args):
+        raise BrokenPipeError()
+
+    monkeypatch.setattr(cli, "_emit", closed)
+    assert run_cli(capsys, "geometry") == (0, "", "")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

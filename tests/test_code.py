@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from satwiretap.code import (
     DecodeFailure,
+    EccScheme,
+    Hamming74Code,
     IdentityCode,
     Repetition3Code,
     _pack_rows,
@@ -239,6 +241,12 @@ class TestFastMultiply:
         seed = np.ones(15, np.uint8)
         assert not toeplitz_apply_batch(seed[None], np.zeros((1, 8), np.uint8), 8, 8).any()
 
+    @pytest.mark.parametrize("k", [1, 64, 65])
+    @pytest.mark.parametrize("k_prime", [0, 2])
+    def test_zero_row_batch(self, k, k_prime):
+        seeds, xs = np.zeros((0, k + k_prime - 1)), np.zeros((0, k_prime))
+        assert toeplitz_apply_batch(seeds, xs, k, k_prime).shape == (0, k)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             toeplitz_apply_batch(np.ones((1, 7), np.uint8), np.ones((1, 3), np.uint8), 4, 4)
@@ -302,6 +310,8 @@ class TestValidationNamesTheField:
             encode([], [1, 0, 1, 1], seed, ecc)
         with pytest.raises(ValueError, match="seed has 4 bits, expected 3"):
             encode([0, 1], [1, 0], np.zeros(4), ecc)
+        with pytest.raises(ValueError, match="k = 5 exceeds ECC message length 4"):
+            decode(np.ones(4), seed, ecc, 5)
 
 
 class TestHash:
@@ -429,14 +439,28 @@ class TestEccSchemes:
         assert type(make_ecc("identity", np.int32(5)).message_length) is int
 
     def test_hamming_requires_four_bits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="hamming74 requires k \\+ k' = 4"):
             make_ecc("hamming74", 5)
+        with pytest.raises(ValueError, match="hamming74 requires"):
+            Hamming74Code(3)
         with pytest.raises(ValueError, match="message_length"):
             make_ecc("hamming74", 4.0)
+        assert Hamming74Code().message_length == Hamming74Code(4).message_length == 4
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             make_ecc("turbo", 4)
+        # the name is checked before the length
+        with pytest.raises(ValueError, match="unknown ECC scheme 'turbo'; choose from"):
+            make_ecc("turbo", 0)
+        with pytest.raises(ValueError, match=r"unknown ECC scheme \['rep3'\]"):
+            make_ecc(["rep3"], 3)
+
+    def test_base_scheme_has_no_code(self):
+        with pytest.raises(NotImplementedError):
+            EccScheme().encode(np.zeros(4, np.uint8))
+        with pytest.raises(NotImplementedError):
+            EccScheme().decode_bits(np.zeros(4, np.uint8))
 
 
 class TestEncodeDecode:

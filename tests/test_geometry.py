@@ -76,6 +76,11 @@ class TestAlpha:
         with pytest.raises(ValueError):
             alpha(-1.0, 2.0)
 
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_nonpositive_exponent_rejected(self, a):
+        with pytest.raises(ValueError, match="antenna exponent a must be > 0"):
+            alpha(2.0, a)
+
 
 def _config(**kwargs):
     base = dict(rho_b_km=1000.0, rho_e_km=1000.0, theta_e_deg=1.0, r=2.0, a=2.0, mu=1.0)
@@ -156,6 +161,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(rho_b_km=0.0)
 
+    def test_nonpositive_antenna_exponent_rejected(self):
+        with pytest.raises(ValueError, match="antenna exponent a must be > 0"):
+            _config(a=0.0)
+
+    def test_unrepresentable_beta_rejected_when_built(self):
+        # the domain is beta's, so the config fails where gamma_g would
+        with pytest.raises(ValueError, match="beta overflows a float"):
+            _config(rho_b_km=1e308, rho_e_km=1e-10)
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -206,6 +220,16 @@ class TestProtectedRegionMap:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             protected_region_map([], [1.0], r=2.0, a=2.0, mu=1.0)
+
+    @pytest.mark.parametrize("mu", [-0.1, 1.5])
+    def test_mu_outside_unit_interval_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu must lie in"):
+            protected_region_map([1.0], [1.0], r=2.0, a=2.0, mu=mu)
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.5])
+    def test_nonpositive_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="distance ratios must be > 0"):
+            protected_region_map([1.0], [1.0, ratio], r=2.0, a=2.0, mu=1.0)
 
     @pytest.mark.parametrize(
         "field, thetas, ratios, kwargs",

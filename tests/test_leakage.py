@@ -390,6 +390,16 @@ class TestNoiselessMainBounds:
         assert math.isfinite(tight) and math.isfinite(relaxed)
         assert tight == pytest.approx(relaxed, rel=1e-9)
 
+    def test_huge_exponent_takes_the_log_form(self):
+        # lx = n psi(1) is about 1316.5 > 700, where ln(1 + e^lx) is lx itself
+        params = _params(2.0, 1.0)
+        lx = 2000 * psi(1.0, params)
+        assert lx == pytest.approx(1316.5, abs=0.1)
+        tight, relaxed = noiseless_main_bounds(1.0, 2000, 0, params)
+        assert tight == pytest.approx(math.log2(lx), rel=1e-15)
+        assert tight == pytest.approx(10.362, abs=1e-3)
+        assert relaxed == lx / LN2
+
     def test_oversized_sacrifice_rejected(self):
         with pytest.raises(ValueError):
             noiseless_main_bounds(0.5, 8, 9, P_MAIN)
@@ -420,6 +430,11 @@ class TestRenyi:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             renyi_entropy((0.5, 0.4), 2.0)
+
+    @pytest.mark.parametrize("dist", [[[0.5, 0.5]], [], [[0.25, 0.25], [0.25, 0.25]]])
+    def test_not_one_dimensional_or_empty_rejected(self, dist):
+        with pytest.raises(ValueError, match="non-empty 1-D distribution"):
+            renyi_entropy(dist, 2.0)
 
     @pytest.mark.parametrize(
         "field, dist, order",

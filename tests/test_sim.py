@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import time
 import tracemalloc
 from dataclasses import asdict
 
@@ -368,6 +369,27 @@ class TestRunReliability:
         # at most one worker per block, never more than asked for
         assert len({c[2] for c in calls}) <= min(workers, 4)
 
+    @pytest.mark.parametrize("cores, most", [(2, 2), (None, 1)])
+    def test_threads_stop_at_the_core_count(self, monkeypatch, cores, most):
+        # the report is the same for any worker count, so threads past the cores buy nothing
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cores)
+        ids = set()
+        lock = threading.Lock()
+
+        def block(*args):
+            with lock:
+                ids.add(threading.get_ident())
+            time.sleep(0.005)  # busy, so an uncapped pool would start a thread per job
+            return (0, 0, 0)
+
+        monkeypatch.setattr(sim, "_reliability_block", block)
+        report = run_reliability(
+            CodeParams(2, 1, 1), make_ecc("identity", 2), P_MAIN, 8, 1,
+            block_size=1, workers=5,
+        )
+        assert report.trials == 8
+        assert 1 <= len(ids) <= most
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_blocks_stream_in_constant_memory(self, monkeypatch, workers):
         # 50,000 one-frame blocks: no block list and no future per block
@@ -676,6 +698,23 @@ class TestExactLeakage:
             exact_leakage(CodeParams(2, 1, 1), make_ecc("identity", 3), None, P_MAIN)
         with pytest.raises(ValueError):
             exact_leakage(CodeParams(3, 1, 1), make_ecc("identity", 2), None, P_MAIN)
+
+
+@pytest.mark.parametrize(
+    "code, ecc, message",
+    [
+        # k = 0: no message bit for the hash to keep or for an error count
+        (CodeParams(4, 0, 4), make_ecc("identity", 4), "k must be >= 1"),
+        (CodeParams(3, 0, 1), make_ecc("rep3", 1), "k must be >= 1"),
+        (CodeParams(2, 1, 1), make_ecc("identity", 3), r"ECC message length 3 != k\+k' = 2"),
+        (CodeParams(3, 1, 1), make_ecc("identity", 2), "ECC block length 2 != n = 3"),
+    ],
+)
+def test_both_runners_share_one_frame_check(code, ecc, message):
+    with pytest.raises(ValueError, match=message):
+        run_reliability(code, ecc, P_MAIN, 10, 1)
+    with pytest.raises(ValueError, match=message):
+        exact_leakage(code, ecc, None, P_MAIN)
 
 
 class TestMcMutualInfo:
