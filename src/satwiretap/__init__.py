@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "sim": (
         "EveQuantizer", "LeakageOracleReport", "ReliabilityReport", "exact_leakage",
-        "make_eve_quantizer", "run_reliability",
+        "run_reliability",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

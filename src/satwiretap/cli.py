@@ -304,14 +304,12 @@ def _cmd_simulate(args) -> List[dict]:
 def _cmd_oracle(args) -> List[dict]:
     from .code import make_ecc
     from .leakage import CodeParams
-    from .sim import _check_oracle_instance, exact_leakage, make_eve_quantizer
+    from .sim import EveQuantizer, exact_leakage
 
     code = CodeParams(n=args.n, k=args.k, k_prime=args.k_prime)
     ecc = make_ecc(args.ecc, args.k + args.k_prime)
     params = _params_from(args)
-    _check_oracle_instance(code, ecc, args.levels)  # before the quantizer allocates its levels
-    quantizer = make_eve_quantizer(params, levels=args.levels)
-    report = exact_leakage(code, ecc, quantizer, params)
+    report = exact_leakage(code, ecc, EveQuantizer(args.levels), params)
     if args.per_seed:
         return [{"seed_hex": h, "leak_bits": leak} for h, leak in report.per_seed]
     row = dict(vars(report))

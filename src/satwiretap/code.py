@@ -57,17 +57,23 @@ def _check_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def _check_bits(name: str, values, length=None, ndim: int = 1) -> np.ndarray:
+def _check_bits(name: str, values, length=None, ndim=1) -> np.ndarray:
     """values as a uint8 array of 0s and 1s with `ndim` axes, the last of `length` bits.
 
-    ValueError naming `name` for any other shape or value; length None takes any.
+    ValueError naming `name` for any other shape or value; length None takes
+    any length and ndim None any number of axes from one up.
     """
     bits = np.asarray(values)
-    if bits.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {bits.shape}")
+    if bits.ndim == 0 or ndim not in (None, bits.ndim):
+        axes = "at least 1" if ndim is None else ndim
+        raise ValueError(f"{name} must be {axes}-dimensional, got shape {bits.shape}")
     if length is not None and bits.shape[-1] != length:
         raise ValueError(f"{name} has {bits.shape[-1]} bits, expected {length}")
-    if not ((bits == 0) | (bits == 1)).all():
+    if bits.dtype.kind in "bu":  # unsigned: one reduction, no array-sized temporaries
+        valid = bits.max(initial=0) <= 1
+    else:
+        valid = ((bits == 0) | (bits == 1)).all()
+    if not valid:
         raise ValueError(f"{name} must hold only 0 and 1")
     return bits.astype(np.uint8, copy=False)
 
@@ -216,7 +222,9 @@ class EccScheme:
     (..., block_length) hard-decision bits back to message bits, raising
     DecodeFailure when no estimate can be produced, and decode(y) on channel
     reals is decode_bits(hard_decision(y)). Implementations must be injective
-    homomorphisms with decode_bits(encode(v)) = v.
+    homomorphisms with decode_bits(encode(v)) = v. The built-in schemes take
+    only 0/1 values and raise a ValueError naming `message` or `block` for
+    any other value, a wrong last axis or a 0-d input.
     """
 
     name: str
@@ -234,13 +242,6 @@ class EccScheme:
         return self.decode_bits(hard_decision(y))
 
 
-def _last_axis(bits, length: int, what: str) -> np.ndarray:
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim == 0 or bits.shape[-1] != length:
-        raise ValueError(f"{what} length mismatch")
-    return bits
-
-
 class IdentityCode(EccScheme):
     """No redundancy: the noiseless-main-channel special case with n = k+k'."""
 
@@ -251,10 +252,10 @@ class IdentityCode(EccScheme):
         self.block_length = self.message_length
 
     def encode(self, v: np.ndarray) -> np.ndarray:
-        return _last_axis(v, self.message_length, "message").copy()
+        return _check_bits("message", v, self.message_length, ndim=None).copy()
 
     def decode_bits(self, bits: np.ndarray) -> np.ndarray:
-        return _last_axis(bits, self.block_length, "block").copy()
+        return _check_bits("block", bits, self.block_length, ndim=None).copy()
 
 
 class Repetition3Code(EccScheme):
@@ -267,10 +268,10 @@ class Repetition3Code(EccScheme):
         self.block_length = 3 * self.message_length
 
     def encode(self, v: np.ndarray) -> np.ndarray:
-        return np.repeat(_last_axis(v, self.message_length, "message"), 3, axis=-1)
+        return np.repeat(_check_bits("message", v, self.message_length, ndim=None), 3, axis=-1)
 
     def decode_bits(self, bits: np.ndarray) -> np.ndarray:
-        bits = _last_axis(bits, self.block_length, "block")
+        bits = _check_bits("block", bits, self.block_length, ndim=None)
         a, b, c = bits[..., 0::3], bits[..., 1::3], bits[..., 2::3]
         return (a & b) | (c & (a | b))
 
@@ -295,7 +296,7 @@ class Hamming74Code(EccScheme):
             raise ValueError("hamming74 requires k + k' = 4")
 
     def encode(self, v: np.ndarray) -> np.ndarray:
-        v = _last_axis(v, 4, "message")
+        v = _check_bits("message", v, 4, ndim=None)
         c = np.zeros(v.shape[:-1] + (7,), dtype=np.uint8)
         c[..., self._DATA_POS] = v
         c[..., 0] = v[..., 0] ^ v[..., 1] ^ v[..., 3]
@@ -304,7 +305,7 @@ class Hamming74Code(EccScheme):
         return c
 
     def decode_bits(self, bits: np.ndarray) -> np.ndarray:
-        b = _last_axis(bits, 7, "block")
+        b = _check_bits("block", bits, 7, ndim=None)
         # check w covers the 1-indexed positions with bit w set
         syndrome = (
             (b[..., 0] ^ b[..., 2] ^ b[..., 4] ^ b[..., 6])

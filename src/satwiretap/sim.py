@@ -46,7 +46,6 @@ __all__ = [
     "ReliabilityReport",
     "run_reliability",
     "EveQuantizer",
-    "make_eve_quantizer",
     "LeakageOracleReport",
     "exact_leakage",
 ]
@@ -289,40 +288,34 @@ def run_reliability(
 
 @dataclass(frozen=True)
 class EveQuantizer:
-    """Scalar quantizer applied to each of Eve's channel outputs.
+    """Uniform scalar quantizer with `levels` bins on each of Eve's outputs.
 
-    interior_edges are the finite bin boundaries; the outermost bins absorb
-    the tails, so the quantizer is a proper channel (rows sum to one) and by
-    data processing the quantized leakage lower-bounds the continuous one.
+    The bins split +-(eve_amplitude + 4 eve sigma) evenly and the two outer
+    bins absorb the tails, so the quantizer is a proper channel (rows sum to
+    one) and by data processing the quantized leakage lower-bounds the
+    continuous one. The edges come from the channel in level_probs, so the
+    quantizer itself is only its level count.
     """
 
-    interior_edges: Tuple[float, ...]
+    levels: int = 8
 
     def __post_init__(self):
-        edges = tuple(float(e) for e in self.interior_edges)
-        if not all(math.isfinite(e) for e in edges):
-            raise ValueError(f"interior_edges must be finite, got {edges}")
-        if len(edges) < 1:
-            raise ValueError("need at least one edge (two levels)")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("edges must be strictly increasing")
-        object.__setattr__(self, "interior_edges", edges)
-
-    @property
-    def levels(self) -> int:
-        return len(self.interior_edges) + 1
+        object.__setattr__(self, "levels", _check_count("levels", self.levels, 2))
 
     def level_probs(self, symbol: float, params: WiretapChannelParams) -> np.ndarray:
         """P(level | transmitted symbol) for Eve's Gaussian observation.
 
         A bin above the mean is a difference of upper-tail probabilities and
         a bin below it of lower-tail ones, so bins far out in either tail keep
-        their relative precision and the rows for +1 and -1 mirror each other
-        under symmetric edges. The bin holding the mean is one minus its tails.
+        their relative precision. The bin holding the mean is one minus its
+        tails. The edges are mirrored exactly (linspace is symmetric only to
+        rounding), so the rows for +1 and -1 are exact reverses of each other.
         """
-        mean = params.eve_amplitude * symbol
         sigma = math.sqrt(params.eve_noise_var)
-        z = [(edge - mean) / sigma for edge in self.interior_edges]
+        span = params.eve_amplitude + 4.0 * sigma
+        edges = np.linspace(-span, span, self.levels + 1)[1:-1]
+        mean = params.eve_amplitude * symbol
+        z = [(edge - mean) / sigma for edge in (0.5 * (edges - edges[::-1])).tolist()]
         below = [0.0] + [ndtr(x) for x in z]  # below[j]: P(left of bin j)
         above = [ndtr(-x) for x in z] + [0.0]  # above[j]: P(right of bin j)
         probs = np.empty(self.levels)
@@ -334,16 +327,6 @@ class EveQuantizer:
             else:
                 probs[j] = 1.0 - (below[j] + above[j])
         return probs
-
-
-def make_eve_quantizer(params: WiretapChannelParams, levels: int = 8) -> EveQuantizer:
-    """Uniform `levels`-bin quantizer over +-(eve_amplitude + 4 eve sigma)."""
-    levels = _check_count("levels", levels, 2)
-    span = params.eve_amplitude + 4.0 * math.sqrt(params.eve_noise_var)
-    edges = np.linspace(-span, span, levels + 1)[1:-1]
-    # linspace is symmetric only to rounding; mirror it exactly so the rows
-    # for +1 and -1 are exact reverses of each other
-    return EveQuantizer(tuple(0.5 * (edges - edges[::-1])))
 
 
 @dataclass(frozen=True)
@@ -393,31 +376,19 @@ def _extend(q: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out.reshape(q.shape[0], -1)
 
 
-def _check_oracle_instance(code: CodeParams, ecc: EccScheme, levels: int) -> None:
-    """ValueError unless exact_leakage can enumerate this instance; needs no quantizer."""
-    _check_count("levels", levels, 2)
-    k, kp, n = code.k, code.k_prime, code.n
-    if k + kp > _MAX_HASH_INPUT_BITS:
-        raise ValueError(f"instance too large: k+k' = {k + kp} > {_MAX_HASH_INPUT_BITS}")
-    if n > _MAX_ORACLE_BLOCK:
-        raise ValueError(f"instance too large: n = {n} > {_MAX_ORACLE_BLOCK}")
-    _check_frame(code, ecc)
-    if (1 << (k + kp)) * levels**n > _MAX_ORACLE_CELLS:
-        raise ValueError("instance too large: output table exceeds the enumeration cap")
-
-
 def exact_leakage(
     code: CodeParams,
     ecc: EccScheme,
-    quantizer: Optional[EveQuantizer],
+    quantizer: EveQuantizer,
     params: WiretapChannelParams,
 ) -> LeakageOracleReport:
     """Exhaustively compute Eve's exact quantized leakage on a tiny instance.
 
     Enumerates every message, sacrifice word, hash seed, and quantized output
     n-tuple; returns the seed-averaged I(M; Z^n) together with the analytic
-    minimized bound for the same (n, k, k') and channel. Pass quantizer=None
-    for the default 8-level uniform quantizer.
+    minimized bound for the same (n, k, k') and channel, with Eve's outputs
+    quantized by `quantizer` (EveQuantizer() for 8 levels). ValueError unless
+    the frame fits the ECC and the instance is small enough to enumerate.
 
     The seeds are swept as a tree. Let R_0[u, l] = P(z | ECC(u, l)) for every
     premixed message u and sacrifice word l. Column j of the Toeplitz matrix
@@ -433,11 +404,14 @@ def exact_leakage(
     cells, so the tree's buffers stay small and the full output table is
     never built.
     """
-    if quantizer is None:
-        quantizer = make_eve_quantizer(params)
-    levels = quantizer.levels
-    _check_oracle_instance(code, ecc, levels)
-    k, kp, n = code.k, code.k_prime, code.n
+    k, kp, n, levels = code.k, code.k_prime, code.n, quantizer.levels
+    if k + kp > _MAX_HASH_INPUT_BITS:
+        raise ValueError(f"instance too large: k+k' = {k + kp} > {_MAX_HASH_INPUT_BITS}")
+    if n > _MAX_ORACLE_BLOCK:
+        raise ValueError(f"instance too large: n = {n} > {_MAX_ORACLE_BLOCK}")
+    _check_frame(code, ecc)
+    if (1 << (k + kp)) * levels**n > _MAX_ORACLE_CELLS:
+        raise ValueError("instance too large: output table exceeds the enumeration cap")
 
     rows = np.stack([quantizer.level_probs(+1.0, params), quantizer.level_probs(-1.0, params)])
     # factors[w, i] = P(level of z_i | codeword bit i) for raw hash input w

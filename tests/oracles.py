@@ -9,7 +9,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from satwiretap.channel import WiretapChannelParams, ndtr
 from satwiretap.code import EccScheme, _check_bits, _check_count, _enumerate_bits, hash_bits
+from satwiretap.leakage import CodeParams
 
 
 def toeplitz_from_seed(seed, k: int, k_prime: int) -> np.ndarray:
@@ -96,3 +98,40 @@ def mc_mutual_info(
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return MiEstimate(bits=mean, stderr=math.sqrt(var / samples), samples=samples)
+
+
+class ReliabilityLaw(NamedTuple):
+    fer: float
+    ber: float
+    pmf: np.ndarray  # pmf[c]: P(c of a frame's k message bits decode wrong)
+
+
+def reliability_law(code: CodeParams, ecc: EccScheme, params: WiretapChannelParams) -> ReliabilityLaw:
+    """Exact FER, BER and per-frame error-count pmf of run_reliability's frames.
+
+    Bob's hard decisions see a BSC with p = Q(a/sigma). The decoded hash input
+    is v XOR e, where e does not depend on v: iid Bern(p) for identity, iid
+    Bern(3p^2 - 2p^3) for rep3 (two or three of a bit's copies flip), and
+    decode_bits of the channel's flip pattern for hamming74, summed over its
+    2^7 patterns. The decoded message is m XOR e_a XOR T(seed) e_b for the
+    first k bits e_a and last k' bits e_b of e, and T(seed) e_b is uniform on
+    k bits whenever e_b != 0 and the seed is uniform. So a frame's error count
+    is |e_a| when e_b = 0 and Binomial(k, 1/2) otherwise. A pinned hash_seed
+    is outside this law: T e_b is then one fixed word, not a uniform one.
+    """
+    k, kp = code.k, code.k_prime
+    p = ndtr(-params.bob_amplitude / math.sqrt(params.bob_noise_var))
+    if ecc.name == "hamming74":
+        flips = _enumerate_bits(7)
+        weight = flips.sum(axis=1)
+        prob = p**weight * (1.0 - p) ** (7 - weight)
+        e = ecc.decode_bits(flips)
+        keep = ~e[:, k:].any(axis=1)
+        # clean[c] = P(e_b = 0 and |e_a| = c)
+        clean = np.bincount(e[keep, :k].sum(axis=1), weights=prob[keep], minlength=k + 1)
+    else:
+        q = p if ecc.name == "identity" else 3.0 * p * p - 2.0 * p**3
+        clean = np.array([math.comb(k, c) * q**c * (1.0 - q) ** (k - c + kp) for c in range(k + 1)])
+    coin = np.array([math.comb(k, c) / 2.0**k for c in range(k + 1)])
+    pmf = clean + (1.0 - clean.sum()) * coin
+    return ReliabilityLaw(fer=1.0 - pmf[0], ber=float(pmf @ np.arange(k + 1)) / k, pmf=pmf)

@@ -23,7 +23,7 @@ from satwiretap.code import (
     toeplitz_apply_batch,
 )
 from satwiretap.leakage import CodeParams, e0, min_leakage_bound
-from satwiretap.sim import exact_leakage, run_reliability
+from satwiretap.sim import EveQuantizer, exact_leakage, run_reliability
 
 from oracles import toeplitz_from_seed, toeplitz_mul_naive
 
@@ -199,12 +199,12 @@ def test_criterion_09_uncoded_ber_oracle():
 
 def test_criterion_10_exact_leakage_below_bound():
     params = WiretapChannelParams(gamma_g=0.3, gamma_n=2.0)
-    report = exact_leakage(CodeParams(4, 1, 3), make_ecc("identity", 4), None, params)
+    report = exact_leakage(CodeParams(4, 1, 3), make_ecc("identity", 4), EveQuantizer(), params)
     holds = report.exact_leak_bits <= report.bound_bits
     leaks = []
     for kp in range(4):
         sweep = exact_leakage(
-            CodeParams(1 + kp, 1, kp), make_ecc("identity", 1 + kp), None, params
+            CodeParams(1 + kp, 1, kp), make_ecc("identity", 1 + kp), EveQuantizer(), params
         )
         leaks.append(sweep.exact_leak_bits)
     monotone = all(b <= a + 1e-12 for a, b in zip(leaks, leaks[1:]))

@@ -19,7 +19,7 @@ from satwiretap.capacity import secrecy_capacity
 from satwiretap.figures import density_rows
 from satwiretap.leakage import e0, psi
 from satwiretap.quadrature import integrate
-from satwiretap.sim import make_eve_quantizer
+from satwiretap.sim import EveQuantizer
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -92,7 +92,7 @@ class TestParams:
             cells = [secrecy_capacity(p).c_s, e0(0.5, p), psi(1.0, p)]
             for side in ("bob", "eve"):
                 cells += density_rows(side, p, points=9)[4].values()
-            cells += make_eve_quantizer(p).level_probs(1.0, p).tolist()
+            cells += EveQuantizer().level_probs(1.0, p).tolist()
         assert all(math.isfinite(cell) for cell in cells)
 
 

@@ -351,7 +351,7 @@ class TestOracle:
         assert err == "error: k must be >= 1 to count message-bit errors, got 0\n"
 
     def test_level_cap_is_checked_before_the_quantizer_is_built(self, capsys):
-        # the quantizer would hold about 85 B per level; the cap refuses this size first
+        # level_probs allocates per level; the cap refuses this size before it runs
         tracemalloc.start()
         try:
             rc, out, err = run_cli(capsys, "oracle", "--levels", "2000000")
@@ -361,6 +361,11 @@ class TestOracle:
         assert (rc, out) == (1, "")
         assert err == "error: instance too large: output table exceeds the enumeration cap\n"
         assert peak < 1 << 20
+
+    def test_one_level_exits_one_naming_levels(self, capsys):
+        rc, out, err = run_cli(capsys, "oracle", "--levels", "1")
+        assert (rc, out) == (1, "")
+        assert err == "error: levels must be >= 2, got 1\n"
 
 
 class TestReproduce:

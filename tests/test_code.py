@@ -420,10 +420,37 @@ class TestEccSchemes:
     @pytest.mark.parametrize("name", ["identity", "rep3", "hamming74"])
     def test_decode_bits_checks_block_length(self, name):
         ecc = make_ecc(name, 4)
-        with pytest.raises(ValueError, match="block length"):
-            ecc.decode_bits(np.zeros(ecc.block_length + 1, np.uint8))
+        n = ecc.block_length
+        with pytest.raises(ValueError, match=f"block has {n + 1} bits, expected {n}"):
+            ecc.decode_bits(np.zeros(n + 1, np.uint8))
         with pytest.raises(ValueError, match="finite"):
             ecc.decode(np.full(ecc.block_length, np.nan))
+
+    @staticmethod
+    def _method(name, side):
+        ecc = make_ecc(name, 4)
+        if side == "message":
+            return ecc.encode, ecc.message_length
+        return ecc.decode_bits, ecc.block_length
+
+    @pytest.mark.parametrize("name", ["identity", "rep3", "hamming74"])
+    @pytest.mark.parametrize("side", ["message", "block"])
+    @pytest.mark.parametrize("bad", [5, 0.7, -1, np.uint8(2)])
+    def test_methods_accept_only_bits(self, name, side, bad):
+        method, length = self._method(name, side)
+        word = np.zeros((2, length), np.asarray(bad).dtype)
+        word[1, -1] = bad
+        with pytest.raises(ValueError, match=f"{side} must hold only 0 and 1"):
+            method(word)
+
+    @pytest.mark.parametrize("name", ["identity", "rep3", "hamming74"])
+    @pytest.mark.parametrize("side", ["message", "block"])
+    def test_methods_name_a_bad_shape(self, name, side):
+        method, length = self._method(name, side)
+        with pytest.raises(ValueError, match=f"{side} has {length - 1} bits, expected {length}"):
+            method(np.zeros((2, length - 1), np.uint8))
+        with pytest.raises(ValueError, match=rf"{side} must be at least 1-dimensional, got shape \(\)"):
+            method(np.uint8(0))
 
     @pytest.mark.parametrize("length", [2.5, 2.0, True, "3", None])
     def test_message_length_must_be_an_integer(self, length):

@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "capacity_eve", "cs_gamma_sweep", "decode", "density_bob", "density_eve", "e0",
     "e0_max_s1_limit", "encode", "eve_stronger", "exact_leakage", "exponent_margin", "gamma_g",
     "hard_decision", "hash_bits", "hex_to_bits", "leakage_bound", "make_ecc",
-    "make_eve_quantizer", "mi_biawgn", "min_leakage_bound", "mixture_density_bob",
+    "mi_biawgn", "min_leakage_bound", "mixture_density_bob",
     "mixture_density_eve", "noiseless_main_bounds", "nonuniform_seed_bound",
     "positivity_condition", "protected_region_map", "psi", "renyi_entropy", "run_reliability",
     "secrecy_capacity", "toeplitz_apply_batch",
@@ -30,7 +30,7 @@ SUBMODULES = (
 
 
 def test_public_names_unchanged():
-    assert len(PUBLIC_NAMES) == 51
+    assert len(PUBLIC_NAMES) == 50
     assert satwiretap.__all__ == PUBLIC_NAMES
 
 

@@ -33,7 +33,6 @@ from satwiretap.sim import (
     _reliability_block,
     _uniform_bits,
     exact_leakage,
-    make_eve_quantizer,
     run_reliability,
 )
 
@@ -108,7 +107,7 @@ def _oracle_instances(draw):
     params = WiretapChannelParams(
         gamma_g=draw(st.floats(0.0, 2.0)), gamma_n=draw(st.floats(0.2, 5.0))
     )
-    return CodeParams(n, k, kp), ecc, make_eve_quantizer(params, levels), params
+    return CodeParams(n, k, kp), ecc, EveQuantizer(levels), params
 
 
 class _PerFrameIdentity(IdentityCode):
@@ -543,7 +542,7 @@ class TestBitDomainIdentity:
 
 class TestEveQuantizer:
     def test_rows_are_distributions(self):
-        q = make_eve_quantizer(P_MAIN, levels=8)
+        q = EveQuantizer(8)
         for symbol in (+1.0, -1.0):
             probs = q.level_probs(symbol, P_MAIN)
             assert probs.shape == (8,)
@@ -551,16 +550,20 @@ class TestEveQuantizer:
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_edges_mirror(self):
-        q = make_eve_quantizer(P_MAIN, levels=6)
+        q = EveQuantizer(6)
         plus = q.level_probs(+1.0, P_MAIN)
         minus = q.level_probs(-1.0, P_MAIN)
         assert np.allclose(plus[::-1], minus, atol=1e-14)
 
     def test_far_tail_bins_keep_their_precision(self):
         params = WiretapChannelParams(gamma_g=2.0, gamma_n=0.01)
-        q = make_eve_quantizer(params, levels=4)
+        q = EveQuantizer(4)
         plus = q.level_probs(+1.0, params)
-        z = [(e - params.eve_amplitude) / math.sqrt(params.eve_noise_var) for e in q.interior_edges]
+        # uniform edges over +-(eve_amplitude + 4 sigma), mirrored about 0
+        sigma = math.sqrt(params.eve_noise_var)
+        span = params.eve_amplitude + 4.0 * sigma
+        edges = np.linspace(-span, span, 5)[1:-1]
+        z = [(e - params.eve_amplitude) / sigma for e in 0.5 * (edges - edges[::-1])]
         # the three bins below the mean, from scipy's lower tail
         lower = [norm.cdf(b) - norm.cdf(a) for a, b in zip([-np.inf] + z, z)]
         np.testing.assert_allclose(plus[:3], lower, rtol=1e-12)
@@ -571,42 +574,33 @@ class TestEveQuantizer:
     @given(st.floats(0.0, 3.0), st.floats(0.01, 9.0), st.integers(2, 8))
     def test_every_bin_mirrors_to_a_few_ulps(self, gg, gn, levels):
         params = WiretapChannelParams(gamma_g=gg, gamma_n=gn)
-        q = make_eve_quantizer(params, levels=levels)
+        q = EveQuantizer(levels)
         plus = q.level_probs(+1.0, params)[::-1]
         minus = q.level_probs(-1.0, params)
         assert ((plus == 0.0) == (minus == 0.0)).all()
         assert (np.abs(plus - minus) <= 4.0 * np.spacing(np.maximum(plus, minus))).all()
 
     def test_levels_property(self):
-        assert make_eve_quantizer(P_MAIN, levels=2).levels == 2
-        assert EveQuantizer((-1.0, 0.0, 1.0)).levels == 4
+        assert EveQuantizer(2).levels == 2
+        assert EveQuantizer().levels == 8
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            make_eve_quantizer(P_MAIN, levels=1)
-        with pytest.raises(ValueError):
-            EveQuantizer(())
-        with pytest.raises(ValueError):
-            EveQuantizer((0.0, 0.0))
-        with pytest.raises(ValueError):
-            EveQuantizer((1.0, -1.0))
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                EveQuantizer((-1.0, bad))
+        with pytest.raises(ValueError, match="levels must be >= 2, got 1"):
+            EveQuantizer(1)
         with pytest.raises(ValueError, match="levels"):
-            make_eve_quantizer(P_MAIN, levels=2.5)
+            EveQuantizer(2.5)
 
 
 class TestExactLeakage:
     def test_blind_eavesdropper_leaks_nothing(self):
         params = WiretapChannelParams(gamma_g=0.0, gamma_n=1.0)
-        report = exact_leakage(CodeParams(2, 1, 1), make_ecc("identity", 2), None, params)
+        report = exact_leakage(CodeParams(2, 1, 1), make_ecc("identity", 2), EveQuantizer(), params)
         assert report.exact_leak_bits == 0.0
         assert all(leak == 0.0 for _, leak in report.per_seed)
 
     def test_single_bit_matches_direct_computation(self):
         # n = k = 1, k' = 0: leakage is exactly I(X; Z_quantized)
-        q = make_eve_quantizer(P_MAIN, levels=8)
+        q = EveQuantizer(8)
         report = exact_leakage(CodeParams(1, 1, 0), make_ecc("identity", 1), q, P_MAIN)
         cond = np.stack([q.level_probs(+1.0, P_MAIN), q.level_probs(-1.0, P_MAIN)])
         marginal = cond.mean(axis=0)
@@ -618,7 +612,7 @@ class TestExactLeakage:
 
     def test_quantized_leakage_below_channel_mi(self):
         # data processing: quantizing Eve's output cannot increase leakage
-        report = exact_leakage(CodeParams(1, 1, 0), make_ecc("identity", 1), None, P_MAIN)
+        report = exact_leakage(CodeParams(1, 1, 0), make_ecc("identity", 1), EveQuantizer(), P_MAIN)
         ch_mi = mi_biawgn(P_MAIN.eve_amplitude, P_MAIN.eve_noise_var)
         assert report.exact_leak_bits <= ch_mi + 1e-12
 
@@ -626,13 +620,13 @@ class TestExactLeakage:
         leaks = []
         for kp in range(4):
             code = CodeParams(1 + kp, 1, kp)
-            report = exact_leakage(code, make_ecc("identity", 1 + kp), None, P_MAIN)
+            report = exact_leakage(code, make_ecc("identity", 1 + kp), EveQuantizer(), P_MAIN)
             assert report.exact_leak_bits <= report.bound_bits
             leaks.append(report.exact_leak_bits)
         assert all(b <= a + 1e-12 for a, b in zip(leaks, leaks[1:]))
 
     def test_per_seed_enumeration(self):
-        report = exact_leakage(CodeParams(3, 2, 1), make_ecc("identity", 3), None, P_MAIN)
+        report = exact_leakage(CodeParams(3, 2, 1), make_ecc("identity", 3), EveQuantizer(), P_MAIN)
         assert len(report.per_seed) == 4  # 2^(k+k'-1) seeds
         assert report.exact_leak_bits == pytest.approx(
             sum(leak for _, leak in report.per_seed) / 4.0, abs=1e-15
@@ -640,8 +634,8 @@ class TestExactLeakage:
         assert [s for s, _ in report.per_seed] == ["00", "40", "80", "c0"]
 
     def test_ecc_spreading_reduces_leakage(self):
-        plain = exact_leakage(CodeParams(1, 1, 0), make_ecc("identity", 1), None, P_MAIN)
-        spread = exact_leakage(CodeParams(3, 1, 0), make_ecc("rep3", 1), None, P_MAIN)
+        plain = exact_leakage(CodeParams(1, 1, 0), make_ecc("identity", 1), EveQuantizer(), P_MAIN)
+        spread = exact_leakage(CodeParams(3, 1, 0), make_ecc("rep3", 1), EveQuantizer(), P_MAIN)
         # repetition makes Eve's job easier, not harder
         assert spread.exact_leak_bits >= plain.exact_leak_bits
 
@@ -652,7 +646,7 @@ class TestExactLeakage:
 
     def test_no_sacrifice_bits_every_seed_equal(self):
         # k' = 0: the tree has no levels and the hash ignores the seed
-        q = make_eve_quantizer(P_MAIN, levels=4)
+        q = EveQuantizer(4)
         report = _assert_matches_gather(CodeParams(3, 3, 0), make_ecc("identity", 3), q, P_MAIN)
         assert [h for h, _ in report.per_seed] == ["00", "40", "80", "c0"]
         assert len({leak for _, leak in report.per_seed}) == 1
@@ -660,14 +654,14 @@ class TestExactLeakage:
     def test_one_sacrifice_bit(self):
         # k' = 1: one level whose column c_0 is the whole seed
         params = WiretapChannelParams(gamma_g=0.8, gamma_n=0.7)
-        q = make_eve_quantizer(params, levels=3)
+        q = EveQuantizer(3)
         _assert_matches_gather(CodeParams(3, 2, 1), make_ecc("identity", 3), q, params)
         _assert_matches_gather(CodeParams(6, 1, 1), make_ecc("rep3", 2), q, params)
 
     def test_output_blocks_match_whole_table(self, monkeypatch):
         # the sweep's output blocks must not change the result
         params = WiretapChannelParams(gamma_g=0.6, gamma_n=1.1)
-        q = make_eve_quantizer(params, levels=3)
+        q = EveQuantizer(3)
         args = (CodeParams(7, 2, 2), make_ecc("hamming74", 4), q, params)
         whole = exact_leakage(*args)
         monkeypatch.setattr(sim, "_SWEEP_LEAF_CELLS", 8)
@@ -678,7 +672,7 @@ class TestExactLeakage:
     def test_zero_probability_cells_contribute_nothing(self):
         # a very clear Eve makes some quantizer bins underflow to exactly 0
         params = WiretapChannelParams(gamma_g=3.0, gamma_n=0.01)
-        q = make_eve_quantizer(params, levels=4)
+        q = EveQuantizer(4)
         rows = np.stack([q.level_probs(s, params) for s in (+1.0, -1.0)])
         assert (rows == 0.0).any()
         report = _assert_matches_gather(CodeParams(4, 2, 2), make_ecc("identity", 4), q, params)
@@ -686,18 +680,18 @@ class TestExactLeakage:
 
     def test_feasibility_caps(self):
         with pytest.raises(ValueError):
-            exact_leakage(CodeParams(11, 6, 5), make_ecc("identity", 11), None, P_MAIN)
+            exact_leakage(CodeParams(11, 6, 5), make_ecc("identity", 11), EveQuantizer(), P_MAIN)
         with pytest.raises(ValueError):
-            exact_leakage(CodeParams(13, 5, 5), make_ecc("identity", 10), None, P_MAIN)
-        big = make_eve_quantizer(P_MAIN, levels=16)
+            exact_leakage(CodeParams(13, 5, 5), make_ecc("identity", 10), EveQuantizer(), P_MAIN)
+        big = EveQuantizer(16)
         with pytest.raises(ValueError):
             exact_leakage(CodeParams(6, 3, 3), make_ecc("identity", 6), big, P_MAIN)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            exact_leakage(CodeParams(2, 1, 1), make_ecc("identity", 3), None, P_MAIN)
+            exact_leakage(CodeParams(2, 1, 1), make_ecc("identity", 3), EveQuantizer(), P_MAIN)
         with pytest.raises(ValueError):
-            exact_leakage(CodeParams(3, 1, 1), make_ecc("identity", 2), None, P_MAIN)
+            exact_leakage(CodeParams(3, 1, 1), make_ecc("identity", 2), EveQuantizer(), P_MAIN)
 
 
 @pytest.mark.parametrize(
@@ -714,7 +708,7 @@ def test_both_runners_share_one_frame_check(code, ecc, message):
     with pytest.raises(ValueError, match=message):
         run_reliability(code, ecc, P_MAIN, 10, 1)
     with pytest.raises(ValueError, match=message):
-        exact_leakage(code, ecc, None, P_MAIN)
+        exact_leakage(code, ecc, EveQuantizer(), P_MAIN)
 
 
 class TestMcMutualInfo:
