@@ -170,6 +170,12 @@ def psi(s, params: WiretapChannelParams):
     s -> 0. Computed as s*ln2 + ln E[(1 + e^(-L))^(-s)] over Eve's LLR L,
     folded onto L >= 0 like E0. A scalar s gives a float, an array of s an
     array from one kernel call.
+
+    Certified to an absolute 1e-13 nats against a 30-digit table (tests/data/
+    exponent_table.csv) at r = a/sigma from about 0.017 to 3.0. The floor is
+    absolute: for a weak Eve psi is itself tiny and only the absolute error
+    is small, not the relative one. psi has not been checked outside that r
+    range.
     """
     s = _s_values("psi", s, closed=True)
     col = s[..., None]
@@ -191,6 +197,13 @@ def e0(s, params: WiretapChannelParams):
     (see e0_max_s1_limit for the analytic endpoint). The properly normalized
     Eve density is used throughout, which guarantees E0 -> 0 as s -> 0. A
     scalar s gives a float, an array of s an array from one kernel call.
+
+    Certified to an absolute 1e-13 nats against a 30-digit table (tests/data/
+    exponent_table.csv) at r = a/sigma from about 0.017 to 3.0. The floor is
+    absolute: for a weak Eve only the absolute error is small. Against the
+    same mpmath integral, the absolute error stayed within 1.2e-16 for r from
+    1e-4 to 40, but at r = 1e-4 and s = 1e-4, where E0 is about 5e-13 and
+    log1p(J - Phi(-r)) cancels, the relative error reached 2.4e-4.
     """
     value = _e0_nats(_s_values("e0", s), _eve_ratio(params))
     return value if value.ndim else float(value)

@@ -67,6 +67,12 @@ def llr_integral(r, g, t=1.0):
     against each other, g then receives one row of LLRs per entry and returns
     values of the same shape, or a stack of such arrays (see integrate).
     Requires r > 0.
+
+    The exponents built on it, leakage.e0 and leakage.psi, are certified to
+    an absolute 1e-13 nats against a 30-digit table at r from about 0.017 to
+    3.0. For a weak Eve (small r) the integral and the exponents are tiny
+    and only that absolute error is small: at r = 1e-4 E0's relative error
+    reached 2.4e-4.
     """
     r = np.asarray(r, dtype=float)
     u_max = np.minimum(20.0 * np.asarray(t, dtype=float), r * (r + 12.0)) / r

@@ -8,11 +8,17 @@ hold about 1 MiB of normals, so its memory does not grow with block_size * n.
 exact_leakage brute-forces I(M; Z^n) on tiny instances against a quantized
 Eve channel, giving an independent witness that the analytic leakage bounds
 hold (quantization only discards information, so the exact quantized leakage
-must sit below any valid bound on the continuous channel). It sweeps the
-2^(k+k'-1) hash seeds as a tree that sums out one sacrifice bit per level,
-so seeds sharing their last bits share the work above them: k' levels of
-2^(2k+k'-1) * levels^n additions of nonnegative probabilities, against
-2^(2k+2k'-1) * levels^n table reads for a separate gather per seed.
+must sit below any valid bound on the continuous channel). The ECC is linear
+and Eve's quantizer rows for +1 and -1 mirror each other, so every coset row
+of one seed leaks as much as row 0: a seed's leakage is D(P_S(. | 0) || P),
+with the marginal P shared by every seed. It sweeps the 2^(k+k'-1) hash
+seeds as a tree that sums out one sacrifice bit per level, so seeds sharing
+their last bits share the work above them. For k' >= 1 that is k'-1 levels
+of 2^(2k+k'-1) * levels^n additions of nonnegative probabilities, then row 0
+alone at levels^n additions and log2s per seed, against 2^(2k+2k'-1) *
+levels^n table reads for a separate gather per seed. The outputs are swept
+in blocks whose root table holds at most _SWEEP_ROOT_CELLS cells (1 MiB),
+so memory does not grow with the output table.
 
 Determinism: every stochastic routine is driven by a master seed; trial blocks
 use substreams keyed by (master_seed, block_index), so results are identical
@@ -56,10 +62,10 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MAX_HASH_INPUT_BITS = 10
 _MAX_ORACLE_BLOCK = 12
 _MAX_ORACLE_CELLS = 1 << 22
-# the oracle's seed sweep runs on output blocks with at least this many cells
-# per leaf: enough to amortize each numpy call, few enough to keep the tree's
-# buffers near the cache
-_SWEEP_LEAF_CELLS = 1 << 13
+# the oracle's seed sweep runs on output blocks whose root table, one row per
+# hash input, holds at most this many cells (1 MiB): wide enough to amortize
+# each numpy call, small enough that the tree's buffers stay near a 2 MiB L2
+_SWEEP_ROOT_CELLS = 1 << 17
 # the reliability block's channel stage draws this many normals at a time
 # (1 MiB): enough rows to amortize each numpy call, and a buffer that does
 # not grow with the block
@@ -350,30 +356,60 @@ class LeakageOracleReport:
     bound_bits: float
 
 
-def _mi_sum(cond: np.ndarray, work: np.ndarray) -> float:
-    """Sum over cells of cond * log2(cond / marginal), with 0 where cond = 0.
+def _kl_rows(rows: np.ndarray, log_marginal: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Per row, the sum over cells of row * (log2(row) - log_marginal), 0 where row = 0.
 
-    cond[m, z] is c * P(z | m) for uniform M and any scale c > 0, restricted
-    to some subset of outputs z, so I(M; Z) in bits is the sum over all output
-    blocks divided by c * rows. Clamping to the smallest positive double keeps
-    log2 finite at zero cells without changing any positive one. work is
-    scratch space of cond's shape.
+    A row is c * P(z | m) and log_marginal is log2(c * P(z)) for the same
+    scale c > 0 on some subset of outputs z, so D(P(. | m) || P) in bits is
+    the sum over all output blocks divided by c. Clamping to the smallest
+    positive double keeps log2 finite at zero cells without changing any
+    positive one. work is scratch space of rows' shape.
     """
-    marginal = cond.mean(axis=0)
-    np.maximum(marginal, _TINY, out=marginal)
-    np.maximum(cond, _TINY, out=work)
+    np.maximum(rows, _TINY, out=work)
     np.log2(work, out=work)
-    work -= np.log2(marginal)
-    work *= cond
-    return float(work.sum())
+    work -= log_marginal
+    work *= rows
+    return work.sum(axis=1)
 
 
-def _extend(q: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Append one codeword position: out[w, z * L + x] = q[w, z] * f[w, x]."""
-    out = np.empty(q.shape + f.shape[1:])
-    for x in range(f.shape[1]):
-        np.multiply(q, f[:, x, None], out=out[:, :, x])
-    return out.reshape(q.shape[0], -1)
+def _halving_sum(table: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sum of table's 2^b >= 2 rows, added as halves into scratch (2^(b-1) rows).
+
+    Every addition joins two partial sums of as many rows, so rows that are
+    all equal sum exactly (a blind Eve's marginal is then each row, scaled).
+    """
+    half = len(table) // 2
+    np.add(table[:half], table[half:], out=scratch[:half])
+    while half > 1:
+        half //= 2
+        np.add(scratch[:half], scratch[half : 2 * half], out=scratch[:half])
+    return scratch[0]
+
+
+def _check_linear(codewords: np.ndarray, ecc: EccScheme) -> None:
+    """ValueError unless the table of ECC(w), row w for every input w, is F2-linear.
+
+    Checks ECC(w ^ b) = ECC(w) ^ ECC(b) for every w and every basis input
+    b = 2^i, which also gives ECC(0) = ECC(b) ^ ECC(b) = 0.
+    """
+    inputs = np.arange(len(codewords))
+    for i in range(ecc.message_length):
+        if not np.array_equal(codewords[inputs ^ (1 << i)], codewords ^ codewords[1 << i]):
+            raise ValueError(f"ECC {ecc.name!r} is not F2-linear: the oracle needs a linear code")
+
+
+def _outer_rows(factors: np.ndarray) -> np.ndarray:
+    """out[w, z] = prod_i factors[w, i, z_i], z numbered with its first symbol most significant.
+
+    Built one position at a time, out[w, z * L + x] = out[w, z] * factors[w, i, x].
+    """
+    out = np.ones((len(factors), 1))
+    for i in range(factors.shape[1]):
+        grown = np.empty(out.shape + factors.shape[2:])
+        for x in range(factors.shape[2]):
+            np.multiply(out, factors[:, i, x, None], out=grown[:, :, x])
+        out = grown.reshape(len(factors), -1)
+    return out
 
 
 def exact_leakage(
@@ -388,21 +424,37 @@ def exact_leakage(
     n-tuple; returns the seed-averaged I(M; Z^n) together with the analytic
     minimized bound for the same (n, k, k') and channel, with Eve's outputs
     quantized by `quantizer` (EveQuantizer() for 8 levels). ValueError unless
-    the frame fits the ECC and the instance is small enough to enumerate.
+    the frame fits the ECC, the ECC is F2-linear, and the instance is small
+    enough to enumerate.
+
+    The leakage of one seed S is a divergence from one row. The ECC is
+    linear, so ECC(m ^ T_S l, l) = ECC(T_S l, l) ^ ECC(m, 0), and Eve's
+    quantizer rows for +1 and -1 are exact mirrors, so flipping codeword bit
+    i mirrors Eve's level z_i. Hence P_S(z | m) is P_S(. | 0) with the levels
+    mirrored where ECC(m, 0) has a one. The marginal P(z) averages
+    P(z | ECC(w)) over all 2^(k+k') inputs w, does not depend on S, and is
+    unchanged by those mirrors, so I_S(M; Z) = D(P_S(. | 0) || P). A small
+    leak is a sum of small terms and keeps its precision, and a blind Eve
+    reads exactly 0.
 
     The seeds are swept as a tree. Let R_0[u, l] = P(z | ECC(u, l)) for every
     premixed message u and sacrifice word l. Column j of the Toeplitz matrix
     is the seed window c_j = seed[k'-1-j : k'-1-j+k], and summing out
     sacrifice bit j gives R_{j+1}[u, l_>j] = R_j[u, (0, l_>j)] +
     R_j[u ^ c_j, (1, l_>j)], so R_j depends only on the last k+j-1 seed bits
-    for j >= 1 and sibling seeds share every level above them. After k' levels
-    R_k'[m] = 2^k' P(z | m) for one seed. Each level costs
-    2^(2k+k'-1) * levels^n additions of nonnegative probabilities, against
-    2^(2k+2k'-1) * levels^n reads for a per-seed gather. u ^ c_j is a view
-    that reverses the message-bit axes where c_j has a one. The outputs z are
-    swept in blocks just wide enough that each leaf holds _SWEEP_LEAF_CELLS
-    cells, so the tree's buffers stay small and the full output table is
-    never built.
+    for j >= 1 and sibling seeds share every level above them. Every level
+    but the last builds all 2^k rows u, at 2^(2k+k'-1) * levels^n additions
+    of nonnegative probabilities; the last builds only the leaf R_k'[0] =
+    2^k' P_S(z | 0), at levels^n additions per seed, and each leaf pays one
+    log2 per output cell. u ^ c_j is a view that reverses the message-bit
+    axes where c_j has a one. The outputs z are swept in blocks that fix
+    Eve's leading symbols: the widest block whose root table R_0 (2^(k+k')
+    rows) holds at most _SWEEP_ROOT_CELLS cells, or one trailing symbol if
+    that is wider, so the tree's buffers stay near the cache and the full
+    output table is never built. A block's root is one column of the
+    leading symbols' factors times one table of the trailing symbols', both
+    built once; log2 P(z) is taken once per block, and the divergences of
+    all the block's leaves in one pass.
     """
     k, kp, n, levels = code.k, code.k_prime, code.n, quantizer.levels
     if k + kp > _MAX_HASH_INPUT_BITS:
@@ -414,54 +466,66 @@ def exact_leakage(
         raise ValueError("instance too large: output table exceeds the enumeration cap")
 
     rows = np.stack([quantizer.level_probs(+1.0, params), quantizer.level_probs(-1.0, params)])
-    # factors[w, i] = P(level of z_i | codeword bit i) for raw hash input w
     n_inputs = 1 << (k + kp)
-    factors = rows[ecc.encode(_enumerate_bits(k + kp))]
+    codewords = ecc.encode(_enumerate_bits(k + kp))
+    _check_linear(codewords, ecc)
+    # factors[w, i] = P(level of z_i | codeword bit i) for raw hash input w
+    factors = rows[codewords]
     m_count = 1 << k
 
-    # an output block fixes Eve's first n - tail symbols and spans the rest
-    tail = 0
-    while tail < n and m_count * levels**tail < _SWEEP_LEAF_CELLS:
+    # an output block fixes Eve's first n - tail symbols and spans the rest;
+    # one trailing symbol at least, so a huge level count is not swept a
+    # cell at a time
+    tail = 1
+    while tail < n and n_inputs * levels ** (tail + 1) <= _SWEEP_ROOT_CELLS:
         tail += 1
     width = levels**tail
-    heads = np.ones((n_inputs, 1))
-    for i in range(n - tail):
-        heads = _extend(heads, factors[:, i])
+    heads, tails = _outer_rows(factors[:, : n - tail]), _outer_rows(factors[:, n - tail :])
 
     msg_axes = (2,) * k
     flips = [
         tuple(slice(None, None, -1) if (c >> (k - 1 - i)) & 1 else slice(None) for i in range(k))
         for c in range(m_count)
     ]
-    tree = [None] + [np.empty(msg_axes + (1 << (kp - j), width)) for j in range(1, kp + 1)]
-    work = np.empty((m_count, width))
+    root = np.empty((n_inputs, width))
+    scratch = np.empty((n_inputs // 2, width))
+    tree = [root.reshape(msg_axes + (1 << kp, width))]
+    tree += [np.empty(msg_axes + (1 << (kp - j), width)) for j in range(1, kp)]
     seed_len = k + kp - 1
+    # leaves[seed] = R_k'[0] for one block; scratch's rows match it in number
+    leaves, log_marginal = np.empty((1 << seed_len, width)), np.empty(width)
     sums = np.zeros(1 << seed_len)
 
     def descend(j: int, column: int, seed: int) -> None:
         # R_{j+1} from R_j with column c_j; seed holds the seed bits used so far
-        src, half = tree[j], 1 << (kp - 1 - j)
-        np.add(src[..., :half, :], src[flips[column] + (slice(half, None),)], out=tree[j + 1])
+        src = tree[j]
         if j + 1 == kp:
-            sums[seed] += _mi_sum(tree[kp].reshape(m_count, width), work)
+            # R_k'[0] = R_{k'-1}[0, l = 0] + R_{k'-1}[c_{k'-1}, l = 1]
+            pairs = src.reshape(m_count, 2, width)
+            np.add(pairs[0, 0], pairs[column, 1], out=leaves[seed])
             return
+        half = 1 << (kp - 1 - j)
+        np.add(src[..., :half, :], src[flips[column] + (slice(half, None),)], out=tree[j + 1])
         for bit in (0, 1):
             descend(j + 1, (bit << (k - 1)) | (column >> 1), seed | (bit << (k + j)))
 
     for h in range(heads.shape[1]):
-        # same factors in the same order as a per-codeword outer product
-        block = heads[:, h, None]
-        for i in range(n - tail, n):
-            block = _extend(block, factors[:, i])
+        np.multiply(heads[:, h, None], tails, out=root)
+        # 2^k' P(z) = 2^-k times the sum over every input; 2^-k is exact
+        marginal = _halving_sum(root, scratch)
+        marginal *= 1.0 / m_count
+        np.maximum(marginal, _TINY, out=log_marginal)
+        np.log2(log_marginal, out=log_marginal)
         if kp == 0:
-            sums += _mi_sum(block, work)  # the hash ignores the seed
+            # the hash ignores the seed
+            sums += _kl_rows(root[:1], log_marginal, scratch[:1])
             continue
-        tree[0] = block.reshape(msg_axes + (1 << kp, width))
         for column in range(m_count):
             # c_0 is the last k seed bits, the low bits of the seed's number
             descend(0, column, column)
+        sums += _kl_rows(leaves, log_marginal, scratch)
 
-    leaks = (sums / (m_count << kp)).tolist()
+    leaks = (sums / (1 << kp)).tolist()
     seed_words = np.packbits(_enumerate_bits(seed_len), axis=1)
     per_seed = tuple((word.tobytes().hex(), leak) for word, leak in zip(seed_words, leaks))
     total = 0.0

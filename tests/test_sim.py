@@ -49,12 +49,13 @@ def _discrete_mi_bits(cond):
     return float(np.sum(cond * ratio) / cond.shape[0])
 
 
-def _gather_leaks(code, ecc, quantizer, params):
-    """Per-seed (seed_hex, leak_bits) by brute force, in numeric seed order.
+def _gather_tables(code, ecc, quantizer, params):
+    """(P(z | ECC(w)) for every raw input w, per-seed (seed_hex, P_S(z | m)) list).
 
     The reference for exact_leakage's tree sweep: for each seed, gather the
-    output row of every (m, l) from a table of P(z | ECC(u, l)) and average
-    over l, hashing with the naive Toeplitz product.
+    output row of every (m, l) from the table of P(z | ECC(u, l)) and average
+    over l, hashing with the naive Toeplitz product. Seeds come in numeric
+    order.
     """
     k, kp = code.k, code.k_prime
     rows = (quantizer.level_probs(+1.0, params), quantizer.level_probs(-1.0, params))
@@ -68,15 +69,28 @@ def _gather_leaks(code, ecc, quantizer, params):
     all_m = np.array(list(itertools.product((0, 1), repeat=k)), np.int64)
     all_l = np.array(list(itertools.product((0, 1), repeat=kp)), np.uint8)
     pow_k = 1 << np.arange(k - 1, -1, -1)
-    leaks = []
+    per_seed = []
     for seed in itertools.product((0, 1), repeat=k + kp - 1):
         seed = np.array(seed, np.uint8)
         t = toeplitz_from_seed(seed, k, kp)
         t_l = np.array([toeplitz_mul_naive(t, l) for l in all_l], np.int64)
         mixed = all_m[:, None, :] ^ t_l[None, :, :]
         idx = (mixed @ pow_k) * len(all_l) + np.arange(len(all_l))[None, :]
-        leaks.append((bits_to_hex(seed), _discrete_mi_bits(table[idx].mean(axis=1))))
-    return leaks
+        per_seed.append((bits_to_hex(seed), table[idx].mean(axis=1)))
+    return table, per_seed
+
+
+def _gather_leaks(code, ecc, quantizer, params):
+    """Per-seed (seed_hex, leak_bits) by brute force, in numeric seed order."""
+    _, per_seed = _gather_tables(code, ecc, quantizer, params)
+    return [(seed, _discrete_mi_bits(cond)) for seed, cond in per_seed]
+
+
+def _kl_bits(p, q):
+    """D(p || q) in bits, with 0 where p = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(p > 0.0, np.log2(p) - np.log2(q), 0.0)
+    return float(np.sum(p * ratio))
 
 
 def _assert_matches_gather(code, ecc, quantizer, params):
@@ -91,15 +105,19 @@ def _assert_matches_gather(code, ecc, quantizer, params):
 
 
 @st.composite
-def _oracle_instances(draw):
+def _oracle_instances(draw, ecc_name=None):
     """(code, ecc, quantizer, params) with k in 1..3, k' in 0..4, any valid ECC.
 
-    rep3 is valid up to k + k' = 4, where its block reaches the n <= 12 cap.
+    rep3 is valid up to k + k' = 4, where its block reaches the n <= 12 cap,
+    and hamming74 at k + k' = 4 only. ecc_name pins the ECC.
     """
     k = draw(st.integers(1, 3))
-    kp = draw(st.integers(0, 4))
+    if ecc_name == "hamming74":
+        kp = 4 - k
+    else:
+        kp = draw(st.integers(0, 4 - k if ecc_name == "rep3" else 4))
     names = ["identity"] + (["rep3"] if k + kp <= 4 else []) + (["hamming74"] if k + kp == 4 else [])
-    ecc = make_ecc(draw(st.sampled_from(names)), k + kp)
+    ecc = make_ecc(ecc_name or draw(st.sampled_from(names)), k + kp)
     n = ecc.block_length
     # keep the brute-force table small; two levels always fit
     top = max(lv for lv in (2, 3, 4) if (1 << (k + kp)) * lv**n <= 1 << 16)
@@ -108,6 +126,26 @@ def _oracle_instances(draw):
         gamma_g=draw(st.floats(0.0, 2.0)), gamma_n=draw(st.floats(0.2, 5.0))
     )
     return CodeParams(n, k, kp), ecc, EveQuantizer(levels), params
+
+
+class _AndCode(IdentityCode):
+    """Identity code whose last bit is the AND of the first two: not F2-linear."""
+
+    name = "and"
+
+    def encode(self, v):
+        out = super().encode(v)
+        out[..., -1] = out[..., 0] & out[..., 1]
+        return out
+
+
+class _ComplementCode(IdentityCode):
+    """Identity code with every bit flipped: affine, so ECC(0) != 0."""
+
+    name = "complement"
+
+    def encode(self, v):
+        return super().encode(v) ^ 1
 
 
 class _PerFrameIdentity(IdentityCode):
@@ -664,10 +702,46 @@ class TestExactLeakage:
         q = EveQuantizer(3)
         args = (CodeParams(7, 2, 2), make_ecc("hamming74", 4), q, params)
         whole = exact_leakage(*args)
-        monkeypatch.setattr(sim, "_SWEEP_LEAF_CELLS", 8)
+        blocks = []
+        halving_sum = sim._halving_sum  # runs once per output block
+        monkeypatch.setattr(sim, "_halving_sum", lambda *a: blocks.append(1) or halving_sum(*a))
+        monkeypatch.setattr(sim, "_SWEEP_ROOT_CELLS", 16 * 27)  # 2^(k+k') rows of 3^3 cells
         blocked = exact_leakage(*args)
+        assert len(blocks) == 3**4
         for (h1, a), (h2, b) in zip(whole.per_seed, blocked.per_seed):
             assert h1 == h2 and a == pytest.approx(b, rel=0.0, abs=1e-13)
+
+    def test_largest_benchmark_instance_stays_small(self):
+        # (10,3,7) identity at 2 levels: the whole output table alone is 8 MiB
+        params = WiretapChannelParams(gamma_g=0.35, gamma_n=1.2)
+        args = (CodeParams(10, 3, 7), make_ecc("identity", 10), EveQuantizer(2), params)
+        tracemalloc.start()
+        try:
+            exact_leakage(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, f"traced peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("ecc_name", ["identity", "rep3", "hamming74"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_every_coset_row_leaks_as_row_zero(self, ecc_name, data):
+        # the identity the sweep rests on: I_S(M; Z) = D(P_S(. | m) || P) for
+        # every m, with P the average over every raw input, whatever the seed
+        code, ecc, quantizer, params = data.draw(_oracle_instances(ecc_name))
+        table, per_seed = _gather_tables(code, ecc, quantizer, params)
+        marginal = table.mean(axis=0)
+        for _, cond in per_seed:
+            np.testing.assert_allclose(cond.mean(axis=0), marginal, rtol=1e-12, atol=0.0)
+            divergences = [_kl_bits(row, marginal) for row in cond]
+            assert max(divergences) - min(divergences) <= 1e-12
+            assert _discrete_mi_bits(cond) == pytest.approx(divergences[0], rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("ecc", [_AndCode(3), _ComplementCode(3)], ids=lambda e: e.name)
+    def test_nonlinear_ecc_rejected(self, ecc):
+        with pytest.raises(ValueError, match=f"ECC '{ecc.name}' is not F2-linear"):
+            exact_leakage(CodeParams(3, 2, 1), ecc, EveQuantizer(), P_MAIN)
 
     def test_zero_probability_cells_contribute_nothing(self):
         # a very clear Eve makes some quantizer bins underflow to exactly 0
