@@ -176,6 +176,12 @@ def capacity_curves(snr_grid: Sequence[float], params: WiretapChannelParams) -> 
     ]
 
 
+def _db_sweep(snr_db: np.ndarray, params: WiretapChannelParams) -> list[dict]:
+    """capacity_curves at 10^(snr_db/10), with snr_db as requested, not round-tripped."""
+    rows = capacity_curves(10.0 ** (snr_db / 10.0), params)
+    return [{**row, "snr_db": db} for row, db in zip(rows, snr_db.tolist())]
+
+
 def cs_gamma_sweep(
     gamma_g_grid: Sequence[float],
     gamma_n_grid: Sequence[float],

@@ -184,19 +184,11 @@ def _cmd_geometry(args) -> List[dict]:
 
 
 def _cmd_capacity(args) -> List[dict]:
-    from .capacity import (
-        c_separation_condition,
-        capacity_curves,
-        positivity_condition,
-        secrecy_capacity,
-    )
+    from .capacity import _db_sweep, c_separation_condition, positivity_condition, secrecy_capacity
 
     params = _params_from(args)
     if args.snr_sweep:
-        snr_db = _linspace_spec(args.snr_sweep)
-        rows = capacity_curves(10.0 ** (snr_db / 10.0), params)
-        # the requested grid, not its round trip through linear SNR
-        return [{**row, "snr_db": db} for row, db in zip(rows, snr_db.tolist())]
+        return _db_sweep(_linspace_spec(args.snr_sweep), params)
     return [{
         **vars(params),
         **vars(secrecy_capacity(params)),
@@ -278,13 +270,19 @@ def _cmd_code(args) -> List[dict]:
     return [row]
 
 
-def _cmd_simulate(args) -> List[dict]:
+def _frame(args):
+    """(CodeParams, ECC) for the frame that --n, --k, --k-prime and --ecc describe."""
     from .code import make_ecc
     from .leakage import CodeParams
-    from .sim import run_reliability
 
     code = CodeParams(n=args.n, k=args.k, k_prime=args.k_prime)
-    ecc = make_ecc(args.ecc, args.k + args.k_prime)
+    return code, make_ecc(args.ecc, args.k + args.k_prime)
+
+
+def _cmd_simulate(args) -> List[dict]:
+    from .sim import run_reliability
+
+    code, ecc = _frame(args)
     hash_seed = None
     if args.hash_seed is not None:
         hash_seed = _hex_flag("--hash-seed", args.hash_seed, args.k + args.k_prime - 1)
@@ -302,14 +300,9 @@ def _cmd_simulate(args) -> List[dict]:
 
 
 def _cmd_oracle(args) -> List[dict]:
-    from .code import make_ecc
-    from .leakage import CodeParams
     from .sim import EveQuantizer, exact_leakage
 
-    code = CodeParams(n=args.n, k=args.k, k_prime=args.k_prime)
-    ecc = make_ecc(args.ecc, args.k + args.k_prime)
-    params = _params_from(args)
-    report = exact_leakage(code, ecc, EveQuantizer(args.levels), params)
+    report = exact_leakage(*_frame(args), EveQuantizer(args.levels), _params_from(args))
     if args.per_seed:
         return [{"seed_hex": h, "leak_bits": leak} for h, leak in report.per_seed]
     row = dict(vars(report))

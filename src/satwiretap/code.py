@@ -88,15 +88,14 @@ def bits_to_hex(bits) -> str:
 
 
 def hex_to_bits(text: str, length: int) -> np.ndarray:
-    """Parse `length` bits from a hex string produced by bits_to_hex."""
+    """Parse `length` bits from bits_to_hex's text: exactly 2*ceil(length/8) hex digits."""
     length = _check_count("length", length, 0)
-    if length == 0:
-        if text:
-            raise ValueError("expected empty hex for a zero-length word")
-        return np.zeros(0, dtype=np.uint8)
     raw = bytes.fromhex(text)
     if len(raw) * 8 < length:
         raise ValueError(f"hex holds {len(raw) * 8} bits, need {length}")
+    digits = 2 * -(-length // 8)
+    if len(text) != digits:
+        raise ValueError(f"expected {digits} hex digits for {length} bits, got {text!r}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
     if int(bits[length:].max(initial=0)) != 0:
         raise ValueError("nonzero padding bits past the declared length")
@@ -104,8 +103,8 @@ def hex_to_bits(text: str, length: int) -> np.ndarray:
 
 
 def bits_to_bpsk(bits) -> np.ndarray:
-    """Map bits to channel symbols: 0 -> +1.0, 1 -> -1.0."""
-    return 1.0 - 2.0 * np.asarray(bits, dtype=float)
+    """Map bits to channel symbols: 0 -> +1.0, 1 -> -1.0; ValueError unless all 0/1."""
+    return 1.0 - 2.0 * _check_bits("bits", bits, ndim=None)
 
 
 def hard_decision(y) -> np.ndarray:

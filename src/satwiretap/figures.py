@@ -15,11 +15,11 @@ from typing import Dict, List
 
 import numpy as np
 
-from .capacity import capacity_curves, cs_gamma_sweep
+from .capacity import _db_sweep, cs_gamma_sweep
 from .channel import WiretapChannelParams, density_eve, mixture_density_eve
 from .channel import density_bob, mixture_density_bob
 from .geometry import beta, protected_region_map
-from .leakage import CodeParams, _min_bound_rows, e0
+from .leakage import _min_bound_rows, e0
 
 ORBITS = (("leo", 1000.0), ("meo", 10000.0), ("geo", 35786.0))
 
@@ -83,9 +83,7 @@ def figure_4() -> List[dict]:
 
 def figure_5() -> List[dict]:
     """Bob/Eve BI-AWGN capacities vs SNR with Gaussian and BSC references."""
-    params = WiretapChannelParams(gamma_g=0.5, gamma_n=1.0)
-    snr_linear = 10.0 ** (np.arange(-10.0, 10.01, 0.5) / 10.0)
-    return capacity_curves(snr_linear, params)
+    return _db_sweep(np.arange(-10.0, 10.01, 0.5), WiretapChannelParams(gamma_g=0.5, gamma_n=1.0))
 
 
 def density_rows(side: str, params: WiretapChannelParams, points: int = 401) -> List[dict]:
@@ -151,14 +149,12 @@ def figure_9() -> List[dict]:
 def _bound_sweep(n: int, points) -> List[dict]:
     rows = []
     rho_grid = np.arange(0.005, 0.3001, 0.005).tolist()
-    codes = [CodeParams(n=n, k=n - kp, k_prime=kp) for kp in (round(rho * n) for rho in rho_grid)]
+    k_primes = [round(rho * n) for rho in rho_grid]
     for gg, sqrt_gn in points:
         params = WiretapChannelParams(gamma_g=gg, gamma_n=sqrt_gn * sqrt_gn)
         # every rate of a channel in one minimization: the s-scan depends only on the channel
-        *_, s_star, best, _ = _min_bound_rows(
-            n, params, [code.k_prime for code in codes], s_grid_resolution=120
-        )
-        for rho, code, s, bound in zip(rho_grid, codes, s_star.tolist(), best.tolist()):
+        *_, s_star, best, _ = _min_bound_rows(n, params, k_primes, s_grid_resolution=120)
+        for rho, kp, s, bound in zip(rho_grid, k_primes, s_star.tolist(), best.tolist()):
             rows.append(
                 {
                     "gamma_g": gg,
@@ -166,7 +162,7 @@ def _bound_sweep(n: int, points) -> List[dict]:
                     "gamma_n": sqrt_gn * sqrt_gn,
                     "n": n,
                     "rho_sec": rho,
-                    "k_prime": code.k_prime,
+                    "k_prime": kp,
                     "s_star": s,
                     "log2_bound": bound,
                 }

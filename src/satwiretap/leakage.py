@@ -147,14 +147,12 @@ def _e0_nats(s: np.ndarray, r: float, derivatives: bool = False):
     col = t[..., None]
 
     def integrand(llr):
-        if not derivatives:
-            # h alone, with no named temporaries: a 64-point scan block makes
-            # each of them 96 kB
-            return np.expm1(col * np.log1p(np.exp(-llr / col)))
         x = llr / col
         tail = np.exp(-x)
         ell = np.log1p(tail)
         h = np.expm1(col * ell)
+        if not derivatives:
+            return h
         sigma = tail / (1.0 + tail)
         slope = ell + x * sigma
         curvature = slope * slope + x * x * sigma * (1.0 - sigma) / col
@@ -296,18 +294,15 @@ def _min_bound_rows(
             f"after {_NEWTON_MAX_ITER} Newton steps"
         )
 
-    grid_best = values.min(axis=1)
-    on_grid = grid_best < best
-    s_star = np.where(on_grid, grid[i], s_star)
-    best = np.where(on_grid, grid_best, best)
-    source = np.where((s_star == grid[0]) | (s_star == grid[-1]), "grid_edge", "interior")
     endpoint = (n * e0_max_s1_limit(params) - k_primes * _LN2) / _LN2
-    at_endpoint = endpoint <= best
-    s_star = np.where(at_endpoint, 1.0, s_star)
-    best = np.where(at_endpoint, endpoint, best)
-    source = np.where(at_endpoint, "endpoint", source)
+    # argmin takes the first of equal values: the endpoint wins ties, then the Newton point
+    candidates = (endpoint, best, values.min(axis=1))
+    pick = np.argmin(candidates, axis=0)
+    s_star = np.choose(pick, (1.0, s_star, grid[i]))
+    edge = (s_star == grid[0]) | (s_star == grid[-1])
+    source = np.where(pick == 0, "endpoint", np.where(edge, "grid_edge", "interior"))
     curves = np.column_stack((values, endpoint))
-    return np.append(grid, 1.0), curves, s_star, best, source
+    return np.append(grid, 1.0), curves, s_star, np.choose(pick, candidates), source
 
 
 def min_leakage_bound(

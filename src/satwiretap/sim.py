@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .channel import WiretapChannelParams, ndtr
+from .channel import WiretapChannelParams, _check_symbol, ndtr
 from .code import (
     EccScheme,
     _check_bits,
@@ -196,9 +196,8 @@ def _reliability_block(
         seed_words = _pack_rows(_uniform_bits(rng, count, k + kp - 1))
     else:
         seed_words = _pack_rows(hash_seed[None])
-    head = -(-k // 64)  # the words that hold the k message bits
-    mixed = words.copy()
-    mixed[:head] = _hash_words(seed_words, words, k, kp)
+    premix = _hash_words(seed_words, words, k, kp)  # the words that hold the k message bits
+    mixed = np.concatenate([premix, words[len(premix):]])
 
     sigma = math.sqrt(params.bob_noise_var)
     rows = max(1, _TILE_DOUBLES // n)
@@ -214,7 +213,7 @@ def _reliability_block(
         decoded[:, frames] = _pack_rows(ecc.decode_bits(received))
 
     diff = _hash_words(seed_words, decoded, k, kp)
-    diff ^= words[:head]
+    diff ^= words[: len(diff)]
     diff[-1] &= ~np.uint64(0) << (-k % 64)  # drop the sacrifice bits after bit k
     per_frame = np.bitwise_count(diff).sum(axis=0, dtype=np.int64)
     return int(per_frame.sum()), int(np.count_nonzero(per_frame)), int(per_frame @ per_frame)
@@ -316,7 +315,9 @@ class EveQuantizer:
         their relative precision. The bin holding the mean is one minus its
         tails. The edges are mirrored exactly (linspace is symmetric only to
         rounding), so the rows for +1 and -1 are exact reverses of each other.
+        ValueError unless symbol is +1 or -1.
         """
+        _check_symbol(symbol)
         sigma = math.sqrt(params.eve_noise_var)
         span = params.eve_amplitude + 4.0 * sigma
         edges = np.linspace(-span, span, self.levels + 1)[1:-1]
@@ -465,7 +466,8 @@ def exact_leakage(
     if (1 << (k + kp)) * levels**n > _MAX_ORACLE_CELLS:
         raise ValueError("instance too large: output table exceeds the enumeration cap")
 
-    rows = np.stack([quantizer.level_probs(+1.0, params), quantizer.level_probs(-1.0, params)])
+    plus = quantizer.level_probs(+1.0, params)
+    rows = np.stack([plus, plus[::-1]])  # level_probs(-1) bit for bit
     n_inputs = 1 << (k + kp)
     codewords = ecc.encode(_enumerate_bits(k + kp))
     _check_linear(codewords, ecc)

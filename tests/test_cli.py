@@ -270,6 +270,19 @@ class TestCode:
         assert rc == 1 and out == ""
         assert err.startswith(f"error: {flag}: non-hexadecimal number")
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--seed", ["--k", "1", "--k-prime", "1", "--seed", "000000", "--word", "8000"]),
+            ("--seed", ["--k", "8", "--k-prime", "2", "--seed", "a0 00", "--word", "ffc0"]),
+            ("--word", ["--k", "2", "--k-prime", "2", "--seed", "a0", "--word", "f000"]),
+        ],
+    )
+    def test_over_long_or_spaced_hex_names_its_flag(self, capsys, flag, argv):
+        rc, out, err = run_cli(capsys, "code", "--op", "hash", *argv)
+        assert rc == 1 and out == ""
+        assert re.match(f"error: {flag}: expected [0-9]+ hex digits for [0-9]+ bits", err)
+
 
 class TestSimulate:
     ARGS = (
@@ -389,6 +402,20 @@ class TestReproduce:
 # config keys hold no space, '=' or '#'; values may hold '=' but not '#'
 _KEY_CHARS = string.ascii_letters + string.digits + "_-."
 _VALUE_CHARS = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) != "#")
+
+
+@pytest.mark.parametrize(
+    "figure, argv",
+    [
+        ("5", ["capacity", "--gamma-g", "0.5", "--gamma-n", "1", "--snr-sweep", "-10:10:41"]),
+        ("6", ["densities", "--side", "bob"]),
+        ("7", ["densities", "--side", "eve"]),
+    ],
+)
+def test_figure_equals_its_cli_twin(capsys, figure, argv):
+    figure_out = run_cli(capsys, "reproduce", "--figure", figure)
+    assert figure_out[0] == 0
+    assert figure_out == run_cli(capsys, *argv)
 
 
 class TestConfigAndOutput:

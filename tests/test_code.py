@@ -63,6 +63,26 @@ class TestSerialization:
         with pytest.raises(ValueError):
             hex_to_bits("ff", 9)
 
+    @pytest.mark.parametrize(
+        "text, length", [("0000", 1), ("a0 00", 9), ("00", 0), (" ", 0), ("a000", 3), ("80 ", 1)]
+    )
+    def test_hex_longer_than_the_word_rejected(self, text, length):
+        with pytest.raises(ValueError, match=r"expected \d+ hex digits"):
+            hex_to_bits(text, length)
+
+    @pytest.mark.parametrize("bad", [[0, 2, 0.5, -1], [2], [0.5], [-1], [[0, 1], [1, 2]]])
+    def test_bpsk_rejects_non_bits(self, bad):
+        with pytest.raises(ValueError, match="bits must hold only 0 and 1"):
+            bits_to_bpsk(bad)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 4)])
+    def test_bpsk_keeps_any_batch_shape(self, shape):
+        bits = np.random.default_rng(len(shape)).integers(0, 2, shape)
+        want = 1.0 - 2.0 * bits.astype(float)
+        for form in (bits, bits.astype(np.uint8), bits.astype(bool), bits.astype(float), bits.tolist()):
+            got = bits_to_bpsk(form)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+
     def test_bpsk_mapping(self):
         x = bits_to_bpsk(_bits("0110"))
         assert np.array_equal(x, [1.0, -1.0, -1.0, 1.0])

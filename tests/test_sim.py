@@ -608,15 +608,28 @@ class TestEveQuantizer:
         assert plus[0] == pytest.approx(5.45208e-225, rel=1e-5)
         np.testing.assert_array_equal(q.level_probs(-1.0, params), plus[::-1])
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.0, 3.0), st.floats(0.01, 9.0), st.integers(2, 8))
-    def test_every_bin_mirrors_to_a_few_ulps(self, gg, gn, levels):
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1e2), st.floats(1e-3, 1e2), st.integers(2, 69))
+    def test_minus_row_is_the_plus_row_reversed_bit_for_bit(self, gg, gn, levels):
+        # exact_leakage builds its -1 row this way
         params = WiretapChannelParams(gamma_g=gg, gamma_n=gn)
         q = EveQuantizer(levels)
-        plus = q.level_probs(+1.0, params)[::-1]
-        minus = q.level_probs(-1.0, params)
-        assert ((plus == 0.0) == (minus == 0.0)).all()
-        assert (np.abs(plus - minus) <= 4.0 * np.spacing(np.maximum(plus, minus))).all()
+        plus, minus = q.level_probs(+1.0, params), q.level_probs(-1.0, params)
+        assert plus[::-1].tobytes() == minus.tobytes()
+
+    @pytest.mark.parametrize("symbol", [0.5, math.nan, 2.0, 0.0, -2])
+    def test_rejects_a_symbol_bpsk_never_sends(self, symbol):
+        with pytest.raises(ValueError, match="BPSK symbol must be"):
+            EveQuantizer(4).level_probs(symbol, P_MAIN)
+
+    @pytest.mark.parametrize("symbol", [+1.0, 1, -1.0, -1])
+    def test_bpsk_symbols_keep_their_rows(self, symbol):
+        row = [
+            "0x1.4edd8892c4b5cp-7", "0x1.9f8582552207fp-2",
+            "0x1.1c19601c04ee7p-1", "0x1.dd0d12e3df581p-6",
+        ]
+        want = row if symbol > 0 else row[::-1]
+        assert [x.hex() for x in EveQuantizer(4).level_probs(symbol, P_MAIN).tolist()] == want
 
     def test_levels_property(self):
         assert EveQuantizer(2).levels == 2
