@@ -4,12 +4,14 @@ Bob observes Y = E0*x + sqrt(N0)*G; Eve observes Z = gamma_g*E0*x +
 sqrt(gamma_n*N0)*G'. Both channels are real scalar Gaussians with the BPSK
 symbol x in {+1, -1} (bit 0 maps to +1, bit 1 to -1, fixed project-wide).
 ndtr is the standard-normal CDF that the other modules take Gaussian tail
-probabilities from.
+probabilities from, and _check_count the integer-argument check they share
+(here, not in code, so the leakage stack imports no coset-code module).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -124,6 +126,15 @@ class WiretapChannelParams:
         noise level n0, which is how the degradation argument is usually run.
         """
         return self.eve_amplitude / math.sqrt(self.gamma_n), self.n0
+
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """value as an int; ValueError naming `name` unless an integer (not bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _check_symbol(x: int) -> None:

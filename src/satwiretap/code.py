@@ -22,9 +22,9 @@ byte, most-significant bit first.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from .channel import _check_count
 
 __all__ = [
     "DecodeFailure",
@@ -46,15 +46,6 @@ __all__ = [
 
 class DecodeFailure(Exception):
     """Raised when an ECC decoder cannot produce a message estimate."""
-
-
-def _check_count(name: str, value, minimum: int) -> int:
-    """value as an int; ValueError naming `name` unless an integer (not bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    return int(value)
 
 
 def _check_bits(name: str, values, length=None, ndim=1) -> np.ndarray:

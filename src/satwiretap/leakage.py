@@ -32,8 +32,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .channel import WiretapChannelParams, ndtr
-from .code import _check_count
+from .channel import WiretapChannelParams, _check_count, ndtr
 from .quadrature import llr_integral
 
 __all__ = [

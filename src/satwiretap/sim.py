@@ -13,12 +13,14 @@ and Eve's quantizer rows for +1 and -1 mirror each other, so every coset row
 of one seed leaks as much as row 0: a seed's leakage is D(P_S(. | 0) || P),
 with the marginal P shared by every seed. It sweeps the 2^(k+k'-1) hash
 seeds as a tree that sums out one sacrifice bit per level, so seeds sharing
-their last bits share the work above them. For k' >= 1 that is k'-1 levels
-of 2^(2k+k'-1) * levels^n additions of nonnegative probabilities, then row 0
-alone at levels^n additions and log2s per seed, against 2^(2k+2k'-1) *
-levels^n table reads for a separate gather per seed. The outputs are swept
-in blocks whose root table holds at most _SWEEP_ROOT_CELLS cells (1 MiB),
-so memory does not grow with the output table.
+their last bits share the work above them, and carries only the zero-message
+row: any other message's row is that row with Eve's levels mirrored. That is
+k' levels of 2^(k+k'-1) * levels^n additions and one log2 per output cell of
+each seed's leaf, against 2^(2k+2k'-1) * levels^n table reads for a separate
+gather per seed. The outputs are swept in blocks that span every position a
+message mirrors. Their root table holds at most _SWEEP_ROOT_CELLS cells (512
+KiB) unless those positions alone span more, and never more than
+_MAX_ORACLE_CELLS / 2^k, so memory does not grow with the output table.
 
 Determinism: every stochastic routine is driven by a master seed; trial blocks
 use substreams keyed by (master_seed, block_index), so results are identical
@@ -36,11 +38,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .channel import WiretapChannelParams, _check_symbol, ndtr
+from .channel import WiretapChannelParams, _check_count, _check_symbol, ndtr
 from .code import (
     EccScheme,
     _check_bits,
-    _check_count,
     _enumerate_bits,
     _hash_words,
     _pack_rows,
@@ -63,9 +64,10 @@ _MAX_HASH_INPUT_BITS = 10
 _MAX_ORACLE_BLOCK = 12
 _MAX_ORACLE_CELLS = 1 << 22
 # the oracle's seed sweep runs on output blocks whose root table, one row per
-# hash input, holds at most this many cells (1 MiB): wide enough to amortize
-# each numpy call, small enough that the tree's buffers stay near a 2 MiB L2
-_SWEEP_ROOT_CELLS = 1 << 17
+# sacrifice word, holds at most this many cells (512 KiB) unless the positions
+# the message moves span more: wide enough to amortize each numpy call, small
+# enough that the root, the tree below it and the leaves fit a 2 MiB L2
+_SWEEP_ROOT_CELLS = 1 << 16
 # the reliability block's channel stage draws this many normals at a time
 # (1 MiB): enough rows to amortize each numpy call, and a buffer that does
 # not grow with the block
@@ -322,18 +324,17 @@ class EveQuantizer:
         span = params.eve_amplitude + 4.0 * sigma
         edges = np.linspace(-span, span, self.levels + 1)[1:-1]
         mean = params.eve_amplitude * symbol
-        z = [(edge - mean) / sigma for edge in (0.5 * (edges - edges[::-1])).tolist()]
-        below = [0.0] + [ndtr(x) for x in z]  # below[j]: P(left of bin j)
-        above = [ndtr(-x) for x in z] + [0.0]  # above[j]: P(right of bin j)
-        probs = np.empty(self.levels)
-        for j in range(self.levels):
-            if j > 0 and z[j - 1] >= 0.0:
-                probs[j] = above[j - 1] - above[j]
-            elif j < self.levels - 1 and z[j] <= 0.0:
-                probs[j] = below[j + 1] - below[j]
-            else:
-                probs[j] = 1.0 - (below[j] + above[j])
-        return probs
+        z = (0.5 * (edges - edges[::-1]) - mean) / sigma
+        below = np.array([0.0] + [ndtr(x) for x in z.tolist()])  # below[j]: P(left of bin j)
+        above = np.array([ndtr(-x) for x in z.tolist()] + [0.0])  # above[j]: P(right of bin j)
+        # bin j lies at or above the mean, at or below it, or holds it
+        right_of_mean = np.concatenate([[False], z >= 0.0])
+        left_of_mean = np.concatenate([z <= 0.0, [False]])
+        return np.select(
+            [right_of_mean, left_of_mean],
+            [np.append(0.0, above[:-1] - above[1:]), np.append(below[1:] - below[:-1], 0.0)],
+            1.0 - (below + above),
+        )
 
 
 @dataclass(frozen=True)
@@ -402,13 +403,20 @@ def _check_linear(codewords: np.ndarray, ecc: EccScheme) -> None:
 def _outer_rows(factors: np.ndarray) -> np.ndarray:
     """out[w, z] = prod_i factors[w, i, z_i], z numbered with its first symbol most significant.
 
-    Built one position at a time, out[w, z * L + x] = out[w, z] * factors[w, i, x].
+    Built one position at a time, out[w, z * L + x] = out[w, z] * factors[w, i, x],
+    looping in Python over whichever of z and x is shorter; every cell is the
+    same product either way.
     """
     out = np.ones((len(factors), 1))
     for i in range(factors.shape[1]):
-        grown = np.empty(out.shape + factors.shape[2:])
-        for x in range(factors.shape[2]):
-            np.multiply(out, factors[:, i, x, None], out=grown[:, :, x])
+        column = factors[:, i]
+        grown = np.empty(out.shape + column.shape[1:])
+        if out.shape[1] < column.shape[1]:
+            for z in range(out.shape[1]):
+                np.multiply(out[:, z, None], column, out=grown[:, z])
+        else:
+            for x in range(column.shape[1]):
+                np.multiply(out, column[:, x, None], out=grown[:, :, x])
         out = grown.reshape(len(factors), -1)
     return out
 
@@ -429,33 +437,41 @@ def exact_leakage(
     enough to enumerate.
 
     The leakage of one seed S is a divergence from one row. The ECC is
-    linear, so ECC(m ^ T_S l, l) = ECC(T_S l, l) ^ ECC(m, 0), and Eve's
-    quantizer rows for +1 and -1 are exact mirrors, so flipping codeword bit
-    i mirrors Eve's level z_i. Hence P_S(z | m) is P_S(. | 0) with the levels
-    mirrored where ECC(m, 0) has a one. The marginal P(z) averages
-    P(z | ECC(w)) over all 2^(k+k') inputs w, does not depend on S, and is
-    unchanged by those mirrors, so I_S(M; Z) = D(P_S(. | 0) || P). A small
-    leak is a sum of small terms and keeps its precision, and a blind Eve
-    reads exactly 0.
+    linear, so ECC(u, l) = ECC(0, l) ^ ECC(u, 0), and Eve's quantizer rows
+    for +1 and -1 are exact mirrors, so flipping codeword bit i mirrors Eve's
+    level z_i. Hence P(z | ECC(u, l)) is P(. | ECC(0, l)) with the levels
+    mirrored where ECC(u, 0) has a one, and P_S(z | m), the average over l
+    of P(z | ECC(m ^ T_S l, l)), is P_S(. | 0) mirrored where ECC(m, 0) has
+    a one. The marginal P(z) averages P(z | ECC(w)) over all 2^(k+k') inputs
+    w, does not depend on S, and is unchanged by those mirrors, so I_S(M; Z)
+    = D(P_S(. | 0) || P). A small leak is a sum of small terms and keeps its
+    precision, and a blind Eve reads exactly 0.
 
-    The seeds are swept as a tree. Let R_0[u, l] = P(z | ECC(u, l)) for every
-    premixed message u and sacrifice word l. Column j of the Toeplitz matrix
-    is the seed window c_j = seed[k'-1-j : k'-1-j+k], and summing out
-    sacrifice bit j gives R_{j+1}[u, l_>j] = R_j[u, (0, l_>j)] +
-    R_j[u ^ c_j, (1, l_>j)], so R_j depends only on the last k+j-1 seed bits
-    for j >= 1 and sibling seeds share every level above them. Every level
-    but the last builds all 2^k rows u, at 2^(2k+k'-1) * levels^n additions
-    of nonnegative probabilities; the last builds only the leaf R_k'[0] =
-    2^k' P_S(z | 0), at levels^n additions per seed, and each leaf pays one
-    log2 per output cell. u ^ c_j is a view that reverses the message-bit
-    axes where c_j has a one. The outputs z are swept in blocks that fix
-    Eve's leading symbols: the widest block whose root table R_0 (2^(k+k')
-    rows) holds at most _SWEEP_ROOT_CELLS cells, or one trailing symbol if
-    that is wider, so the tree's buffers stay near the cache and the full
-    output table is never built. A block's root is one column of the
-    leading symbols' factors times one table of the trailing symbols', both
-    built once; log2 P(z) is taken once per block, and the divergences of
-    all the block's leaves in one pass.
+    The seeds are swept as a tree on the zero-message row alone. Let R_0[l]
+    = P(z | ECC(0, l)) for every sacrifice word l. Column j of the Toeplitz
+    matrix is the seed window c_j = seed[k'-1-j : k'-1-j+k], and summing out
+    sacrifice bit j gives R_{j+1}[l_>j] = R_j[(0, l_>j)] + mirror_{c_j}(R_j[(1,
+    l_>j)]), where mirror_u reverses Eve's levels where ECC(u, 0) has a one.
+    R_j depends only on the last k+j-1 seed bits for j >= 1, so sibling seeds
+    share every level above them: each of the k' levels costs 2^(k+k'-1) *
+    levels^n additions of nonnegative probabilities, and each leaf R_k' =
+    2^k' P_S(z | 0) one log2 per output cell. The marginal is 2^-k times
+    the sum over u of mirror_u(sum_l R_0[l]), added one basis message at a
+    time, so every addition joins two partial sums of as many rows.
+
+    A mirror moves only the positions where some ECC(u, 0) has a one, so an
+    output block spans all of them. Eve's positions are ordered as the
+    unmoved ones the block fixes (the heads), the moved ones as the span's
+    leading axes, then the other unmoved ones, so a mirror reverses a few
+    outer axes over a contiguous inner run. The span takes the most trailing
+    unmoved positions whose root R_0 (2^k' rows) holds at most
+    _SWEEP_ROOT_CELLS cells, and at least one position, so a huge level count
+    is not swept a cell at a time; when every position moves the root is the
+    whole table of the zero message, at most _MAX_ORACLE_CELLS / 2^k cells.
+    A block's root is one column of the heads' factors times one table of the
+    span's, both built once; log2 P(z) is taken once per block, and the
+    divergences of a root column's 2^(k'-1) leaves as soon as its subtree is
+    done.
     """
     k, kp, n, levels = code.k, code.k_prime, code.n, quantizer.levels
     if k + kp > _MAX_HASH_INPUT_BITS:
@@ -468,66 +484,70 @@ def exact_leakage(
 
     plus = quantizer.level_probs(+1.0, params)
     rows = np.stack([plus, plus[::-1]])  # level_probs(-1) bit for bit
-    n_inputs = 1 << (k + kp)
     codewords = ecc.encode(_enumerate_bits(k + kp))
     _check_linear(codewords, ecc)
-    # factors[w, i] = P(level of z_i | codeword bit i) for raw hash input w
-    factors = rows[codewords]
-    m_count = 1 << k
+    m_count, l_count = 1 << k, 1 << kp
+    shifts = codewords[::l_count]  # shifts[u] = ECC(u, 0), input u * 2^k'
+    moves = shifts.any(axis=0)
+    moved, still = np.flatnonzero(moves), np.flatnonzero(~moves)
 
-    # an output block fixes Eve's first n - tail symbols and spans the rest;
-    # one trailing symbol at least, so a huge level count is not swept a
-    # cell at a time
-    tail = 1
-    while tail < n and n_inputs * levels ** (tail + 1) <= _SWEEP_ROOT_CELLS:
+    # an output block fixes the leading unmoved positions and spans the rest:
+    # one position at least, so a huge level count is not swept a cell at a time
+    tail = 0 if len(moved) else 1
+    while tail < len(still) and l_count * levels ** (len(moved) + tail + 1) <= _SWEEP_ROOT_CELLS:
         tail += 1
-    width = levels**tail
-    heads, tails = _outer_rows(factors[:, : n - tail]), _outer_rows(factors[:, n - tail :])
+    heads_at, tail_at = still[: len(still) - tail], still[len(still) - tail :]
+    # factors[l, i] = P(level of z_i | bit i of ECC(0, l)), input l
+    factors = rows[codewords[:l_count]]
+    heads = _outer_rows(factors[:, heads_at])
+    span = _outer_rows(factors[:, np.concatenate([moved, tail_at])])
+    width = span.shape[1]
+    shape = (levels,) * len(moved) + (levels**tail,)
+    # flips[u] reverses the moved axes where ECC(u, 0) has a one
+    keep, reverse = slice(None), slice(None, None, -1)
+    flips = [tuple(reverse if bit else keep for bit in shift) for shift in shifts[:, moved]]
 
-    msg_axes = (2,) * k
-    flips = [
-        tuple(slice(None, None, -1) if (c >> (k - 1 - i)) & 1 else slice(None) for i in range(k))
-        for c in range(m_count)
-    ]
-    root = np.empty((n_inputs, width))
-    scratch = np.empty((n_inputs // 2, width))
-    tree = [root.reshape(msg_axes + (1 << kp, width))]
-    tree += [np.empty(msg_axes + (1 << (kp - j), width)) for j in range(1, kp)]
+    root = np.empty((l_count,) + shape)
+    tree = [root] + [np.empty((l_count >> j,) + shape) for j in range(1, kp)]
     seed_len = k + kp - 1
-    # leaves[seed] = R_k'[0] for one block; scratch's rows match it in number
-    leaves, log_marginal = np.empty((1 << seed_len, width)), np.empty(width)
+    # one root column's leaves R_k' = 2^k' P_S(. | 0); they hold the halving
+    # sum over the root's rows first
+    leaves = np.empty((max(1, l_count // 2),) + shape)
+    work = np.empty((len(leaves), width))
+    log_marginal = np.empty(width)
     sums = np.zeros(1 << seed_len)
+    by_column = sums.reshape(-1, m_count) if kp else None  # [i, c] is seed (i << k) | c
 
-    def descend(j: int, column: int, seed: int) -> None:
-        # R_{j+1} from R_j with column c_j; seed holds the seed bits used so far
+    def descend(j: int, column: int, leaf: int) -> None:
+        # R_{j+1} from R_j with column c_j; leaf holds the seed bits after c_0 used so far
         src = tree[j]
-        if j + 1 == kp:
-            # R_k'[0] = R_{k'-1}[0, l = 0] + R_{k'-1}[c_{k'-1}, l = 1]
-            pairs = src.reshape(m_count, 2, width)
-            np.add(pairs[0, 0], pairs[column, 1], out=leaves[seed])
-            return
-        half = 1 << (kp - 1 - j)
-        np.add(src[..., :half, :], src[flips[column] + (slice(half, None),)], out=tree[j + 1])
-        for bit in (0, 1):
-            descend(j + 1, (bit << (k - 1)) | (column >> 1), seed | (bit << (k + j)))
+        half = len(src) // 2
+        out = leaves[leaf : leaf + 1] if j + 1 == kp else tree[j + 1]
+        np.add(src[:half], src[(slice(half, None),) + flips[column]], out=out)
+        if j + 1 < kp:
+            for bit in (0, 1):
+                descend(j + 1, (bit << (k - 1)) | (column >> 1), leaf | (bit << j))
 
     for h in range(heads.shape[1]):
-        np.multiply(heads[:, h, None], tails, out=root)
+        np.multiply(heads[:, h, None], span, out=root.reshape(l_count, width))
         # 2^k' P(z) = 2^-k times the sum over every input; 2^-k is exact
-        marginal = _halving_sum(root, scratch)
+        marginal = _halving_sum(root, leaves) if kp else root[0].copy()
+        for b in range(k):
+            # numpy reads an input that overlaps the output as if copied first
+            np.add(marginal, marginal[flips[1 << b]], out=marginal)
         marginal *= 1.0 / m_count
-        np.maximum(marginal, _TINY, out=log_marginal)
+        np.maximum(marginal.reshape(width), _TINY, out=log_marginal)
         np.log2(log_marginal, out=log_marginal)
         if kp == 0:
             # the hash ignores the seed
-            sums += _kl_rows(root[:1], log_marginal, scratch[:1])
+            sums += _kl_rows(root.reshape(1, width), log_marginal, work)
             continue
         for column in range(m_count):
             # c_0 is the last k seed bits, the low bits of the seed's number
-            descend(0, column, column)
-        sums += _kl_rows(leaves, log_marginal, scratch)
+            descend(0, column, 0)
+            by_column[:, column] += _kl_rows(leaves.reshape(-1, width), log_marginal, work)
 
-    leaks = (sums / (1 << kp)).tolist()
+    leaks = (sums / l_count).tolist()
     seed_words = np.packbits(_enumerate_bits(seed_len), axis=1)
     per_seed = tuple((word.tobytes().hex(), leak) for word, leak in zip(seed_words, leaks))
     total = 0.0

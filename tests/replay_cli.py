@@ -6,7 +6,8 @@ and records the exit code, stdout and stderr. The argv are every perfbench
 workload at seeds 1-3 (simulate at its tiny size), read from
 perfbench/workloads.py by path, then EXTRA below: paths the benchmark does not
 run. Each argv whose record differs is printed with the first differing line
-of each stream that differs.
+of each stream that differs; when both stdouts are CSV with one header and
+one shape, also with their largest absolute numeric cell difference.
 
 Exit status: 1 if any argv differs, else 0. The worktree is removed on exit.
 
@@ -15,8 +16,11 @@ Run from anywhere: python3 tests/replay_cli.py REV
 
 from __future__ import annotations
 
+import csv
 import importlib.util
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -149,6 +153,50 @@ def first_difference(old: str, new: str) -> str:
     return f"{len(changed)} of {pad} lines, first line {i + 1}: {old_lines[i]!r} -> {new_lines[i]!r}"
 
 
+def largest_cell_difference(old: str, new: str):
+    """Largest |a - b| over the differing numeric cells of two CSV texts, or None.
+
+    None unless both have the same header and the same number of rows and
+    cells per row. A cell that does not read as a number on both sides is
+    skipped; a NaN against anything else counts as infinitely far.
+    """
+    old_rows, new_rows = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
+    if not old_rows or not new_rows or old_rows[0] != new_rows[0]:
+        return None
+    if [len(row) for row in old_rows] != [len(row) for row in new_rows]:
+        return None
+    largest = 0.0
+    for old_row, new_row in zip(old_rows[1:], new_rows[1:]):
+        for a, b in zip(old_row, new_row):
+            if a == b:
+                continue
+            try:
+                diff = abs(float(a) - float(b))
+            except ValueError:
+                continue
+            largest = max(largest, math.inf if math.isnan(diff) else diff)
+    return largest
+
+
+def report(argvs: list, before: list, after: list) -> int:
+    """Print each argv whose record differs between before and after; return their count."""
+    differ = 0
+    for args, old, new in zip(argvs, before, after):
+        if old == new:
+            continue
+        differ += 1
+        print(" ".join(args) or "(no arguments)")
+        for stream, a, b in zip(("exit", "stdout", "stderr"), old, new):
+            if a == b:
+                continue
+            detail = f"{a} -> {b}" if stream == "exit" else first_difference(a, b)
+            largest = largest_cell_difference(a, b) if stream == "stdout" else None
+            if largest is not None:
+                detail += f"; largest numeric cell difference {largest:.3g}"
+            print(f"  {stream}: {detail}")
+    return differ
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
@@ -163,16 +211,7 @@ def main(argv: list) -> int:
         finally:
             subprocess.run([*git, "remove", "--force", str(tree)], check=True)
         after = replay(ROOT / "src", argvs, tmp)
-    differ = 0
-    for args, old, new in zip(argvs, before, after):
-        if old == new:
-            continue
-        differ += 1
-        print(" ".join(args) or "(no arguments)")
-        for stream, a, b in zip(("exit", "stdout", "stderr"), old, new):
-            if a != b:
-                detail = f"{a} -> {b}" if stream == "exit" else first_difference(a, b)
-                print(f"  {stream}: {detail}")
+    differ = report(argvs, before, after)
     print(f"{len(argvs)} argv replayed against {argv[0]}: {differ} differ")
     return 1 if differ else 0
 

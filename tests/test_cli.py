@@ -573,8 +573,7 @@ def test_bound_and_reproduce_never_load_locale(argv):
 def test_bound_loads_only_the_leakage_stack():
     loaded = _loaded_after("bound", "--n", "1000", "--k-prime", "100")
     assert loaded == {
-        "satwiretap.cli", "satwiretap.leakage", "satwiretap.channel",
-        "satwiretap.code", "satwiretap.quadrature",
+        "satwiretap.cli", "satwiretap.leakage", "satwiretap.channel", "satwiretap.quadrature",
     }
 
 
@@ -582,6 +581,7 @@ def test_reproduce_loads_neither_sim_nor_the_thread_pool():
     loaded = _loaded_after("reproduce", "--figure", "10")
     assert "satwiretap.figures" in loaded
     assert "satwiretap.sim" not in loaded and "concurrent.futures" not in loaded
+    assert "satwiretap.code" not in loaded
 
 
 # CSV cells as the subcommands produce them, plus text that needs quoting

@@ -88,3 +88,23 @@ def test_import_loads_no_submodule_until_one_is_used():
     assert before == []
     assert "satwiretap.sim" in after and "satwiretap.figures" not in after
     assert sim_bound and e0_bound
+
+
+def test_leakage_loads_without_the_code_module():
+    # bound and reproduce never encode a frame; the count check lives in channel
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import json, sys, satwiretap.leakage; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('satwiretap.'))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert json.loads(result.stdout) == [
+        "satwiretap.channel", "satwiretap.leakage", "satwiretap.quadrature",
+    ]
+    from satwiretap import channel, code
+
+    assert code._check_count is channel._check_count

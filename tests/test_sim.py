@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from satwiretap.capacity import mi_biawgn
-from satwiretap.channel import WiretapChannelParams
+from satwiretap.channel import WiretapChannelParams, ndtr
 from satwiretap.code import (
     DecodeFailure,
     IdentityCode,
@@ -30,6 +30,7 @@ from satwiretap.sim import (
     _design_effect,
     _hard_decisions,
     _half_width,
+    _outer_rows,
     _reliability_block,
     _uniform_bits,
     exact_leakage,
@@ -146,6 +147,17 @@ class _ComplementCode(IdentityCode):
 
     def encode(self, v):
         return super().encode(v) ^ 1
+
+
+class _DropFirstBit(IdentityCode):
+    """Identity code that always sends 0 for the first input bit: linear, not injective."""
+
+    name = "drop-first"
+
+    def encode(self, v):
+        out = super().encode(v)
+        out[..., 0] = 0
+        return out
 
 
 class _PerFrameIdentity(IdentityCode):
@@ -617,6 +629,37 @@ class TestEveQuantizer:
         plus, minus = q.level_probs(+1.0, params), q.level_probs(-1.0, params)
         assert plus[::-1].tobytes() == minus.tobytes()
 
+    @pytest.mark.parametrize("levels", [2, 3, 8, 1001])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            P_MAIN,
+            WiretapChannelParams(gamma_g=0.0, gamma_n=1.0),
+            WiretapChannelParams(gamma_g=2.0, gamma_n=0.01),
+        ],
+        ids=["main", "blind", "clear"],
+    )
+    def test_vectorized_row_equals_the_per_bin_loop(self, levels, params):
+        # the row as a loop over bins once computed it, one branch per bin
+        sigma = math.sqrt(params.eve_noise_var)
+        span = params.eve_amplitude + 4.0 * sigma
+        edges = np.linspace(-span, span, levels + 1)[1:-1]
+        for symbol in (+1.0, -1.0):
+            mean = params.eve_amplitude * symbol
+            z = [(edge - mean) / sigma for edge in (0.5 * (edges - edges[::-1])).tolist()]
+            below = [0.0] + [ndtr(x) for x in z]
+            above = [ndtr(-x) for x in z] + [0.0]
+            loop = np.empty(levels)
+            for j in range(levels):
+                if j > 0 and z[j - 1] >= 0.0:
+                    loop[j] = above[j - 1] - above[j]
+                elif j < levels - 1 and z[j] <= 0.0:
+                    loop[j] = below[j + 1] - below[j]
+                else:
+                    loop[j] = 1.0 - (below[j] + above[j])
+            row = EveQuantizer(levels).level_probs(symbol, params)
+            assert row.tobytes() == loop.tobytes()
+
     @pytest.mark.parametrize("symbol", [0.5, math.nan, 2.0, 0.0, -2])
     def test_rejects_a_symbol_bpsk_never_sends(self, symbol):
         with pytest.raises(ValueError, match="BPSK symbol must be"):
@@ -709,23 +752,63 @@ class TestExactLeakage:
         _assert_matches_gather(CodeParams(3, 2, 1), make_ecc("identity", 3), q, params)
         _assert_matches_gather(CodeParams(6, 1, 1), make_ecc("rep3", 2), q, params)
 
-    def test_output_blocks_match_whole_table(self, monkeypatch):
+    # hamming74 (7,2,2) at 3 levels: ECC(u, 0) moves positions 0-4, never 5
+    # or 6. A block spans the moved positions whatever the cap, so a root
+    # (2^k' = 4 rows) of 4 * 3^5 cells fixes both unmoved ones (9 blocks), and
+    # one of 4 * 3^6 cells fixes position 5 only (3 blocks)
+    @pytest.mark.parametrize(
+        "cap, count", [(1, 9), (4 * 3**5, 9), (4 * 3**6 - 1, 9), (4 * 3**6, 3), (4 * 3**7, 1)]
+    )
+    def test_output_blocks_match_whole_table(self, monkeypatch, cap, count):
         # the sweep's output blocks must not change the result
         params = WiretapChannelParams(gamma_g=0.6, gamma_n=1.1)
         q = EveQuantizer(3)
         args = (CodeParams(7, 2, 2), make_ecc("hamming74", 4), q, params)
+        monkeypatch.setattr(sim, "_SWEEP_ROOT_CELLS", 1 << 30)
         whole = exact_leakage(*args)
         blocks = []
         halving_sum = sim._halving_sum  # runs once per output block
         monkeypatch.setattr(sim, "_halving_sum", lambda *a: blocks.append(1) or halving_sum(*a))
-        monkeypatch.setattr(sim, "_SWEEP_ROOT_CELLS", 16 * 27)  # 2^(k+k') rows of 3^3 cells
+        monkeypatch.setattr(sim, "_SWEEP_ROOT_CELLS", cap)
         blocked = exact_leakage(*args)
-        assert len(blocks) == 3**4
+        assert len(blocks) == count
         for (h1, a), (h2, b) in zip(whole.per_seed, blocked.per_seed):
             assert h1 == h2 and a == pytest.approx(b, rel=0.0, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "code, ecc_name, levels",
+        [
+            (CodeParams(7, 4, 0), "hamming74", 3),  # every position moves
+            (CodeParams(7, 3, 1), "hamming74", 3),  # all but position 6 move
+            (CodeParams(6, 2, 0), "rep3", 4),  # every position moves
+            (CodeParams(3, 3, 0), "identity", 4),  # every position moves
+            (CodeParams(6, 1, 1), "rep3", 4),  # the sacrifice's three positions stay
+        ],
+    )
+    def test_moved_positions_match_gather(self, monkeypatch, code, ecc_name, levels):
+        # with the cap at one cell every block is only the moved positions
+        params = WiretapChannelParams(gamma_g=0.7, gamma_n=0.9)
+        args = (code, make_ecc(ecc_name, code.k + code.k_prime), EveQuantizer(levels), params)
+        _assert_matches_gather(*args)
+        monkeypatch.setattr(sim, "_SWEEP_ROOT_CELLS", 1)
+        _assert_matches_gather(*args)
+
+    def test_a_code_that_drops_the_message_leaks_exactly_nothing(self, monkeypatch):
+        # k = 1 and ECC(u, 0) = 0: no position moves, yet each block still
+        # spans one position (4 blocks of 2 cells, not 8 of 1)
+        args = (CodeParams(3, 1, 2), _DropFirstBit(3), EveQuantizer(2), P_MAIN)
+        blocks = []
+        halving_sum = sim._halving_sum
+        monkeypatch.setattr(sim, "_halving_sum", lambda *a: blocks.append(1) or halving_sum(*a))
+        monkeypatch.setattr(sim, "_SWEEP_ROOT_CELLS", 1)
+        report = exact_leakage(*args)
+        assert len(blocks) == 4
+        assert report.exact_leak_bits == 0.0
+        assert all(leak == 0.0 for _, leak in report.per_seed)
+
     def test_largest_benchmark_instance_stays_small(self):
-        # (10,3,7) identity at 2 levels: the whole output table alone is 8 MiB
+        # (10,3,7) identity at 2 levels: the whole output table alone is 8
+        # MiB; the sweep's buffers and the bound peaked at 2.47 MiB traced
         params = WiretapChannelParams(gamma_g=0.35, gamma_n=1.2)
         args = (CodeParams(10, 3, 7), make_ecc("identity", 10), EveQuantizer(2), params)
         tracemalloc.start()
@@ -734,7 +817,18 @@ class TestExactLeakage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 << 20, f"traced peak {peak / 2**20:.2f} MiB"
+        assert peak < 3 << 20, f"traced peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("shape", [(3, 4, 2), (2, 3, 5), (2, 1, 1000), (2, 2, 40), (1, 0, 3)])
+    def test_outer_rows_is_each_rows_outer_product(self, shape):
+        # whichever axis the loop runs over, every cell is the same product
+        factors = np.random.default_rng(5).random(shape)
+        out = _outer_rows(factors)
+        for w in range(shape[0]):
+            want = np.ones(1)
+            for i in range(shape[1]):
+                want = np.multiply.outer(want, factors[w, i]).ravel()
+            assert out[w].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("ecc_name", ["identity", "rep3", "hamming74"])
     @settings(max_examples=20, deadline=None)
