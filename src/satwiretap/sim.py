@@ -17,10 +17,14 @@ their last bits share the work above them, and carries only the zero-message
 row: any other message's row is that row with Eve's levels mirrored. That is
 k' levels of 2^(k+k'-1) * levels^n additions and one log2 per output cell of
 each seed's leaf, against 2^(2k+2k'-1) * levels^n table reads for a separate
-gather per seed. The outputs are swept in blocks that span every position a
-message mirrors. Their root table holds at most _SWEEP_ROOT_CELLS cells (512
-KiB) unless those positions alone span more, and never more than
-_MAX_ORACLE_CELLS / 2^k, so memory does not grow with the output table.
+gather per seed. The outputs are swept in blocks that every mirror maps onto
+themselves: a block fixes some positions no message moves to one level each,
+and if need be some moved ones to a pair of levels that mirror each other.
+Their root table holds at most _SWEEP_ROOT_CELLS cells (512 KiB), unless the
+least a block can span holds more: 2^(k'+m-1) * levels cells for m >= 1 moved
+positions (one of them whole, two levels of each other), 2^k' * levels for
+none. The sweep's buffers are a few roots, so memory does not grow with the
+output table.
 
 Determinism: every stochastic routine is driven by a master seed; trial blocks
 use substreams keyed by (master_seed, block_index), so results are identical
@@ -64,9 +68,9 @@ _MAX_HASH_INPUT_BITS = 10
 _MAX_ORACLE_BLOCK = 12
 _MAX_ORACLE_CELLS = 1 << 22
 # the oracle's seed sweep runs on output blocks whose root table, one row per
-# sacrifice word, holds at most this many cells (512 KiB) unless the positions
-# the message moves span more: wide enough to amortize each numpy call, small
-# enough that the root, the tree below it and the leaves fit a 2 MiB L2
+# sacrifice word, holds at most this many cells (512 KiB) where the positions
+# allow it: wide enough to amortize each numpy call, small enough that the
+# root, the tree below it and the leaves fit a 2 MiB L2
 _SWEEP_ROOT_CELLS = 1 << 16
 # the reliability block's channel stage draws this many normals at a time
 # (1 MiB): enough rows to amortize each numpy call, and a buffer that does
@@ -403,20 +407,17 @@ def _check_linear(codewords: np.ndarray, ecc: EccScheme) -> None:
 def _outer_rows(factors: np.ndarray) -> np.ndarray:
     """out[w, z] = prod_i factors[w, i, z_i], z numbered with its first symbol most significant.
 
-    Built one position at a time, out[w, z * L + x] = out[w, z] * factors[w, i, x],
-    looping in Python over whichever of z and x is shorter; every cell is the
-    same product either way.
+    The first position is taken as is, and each later one grows the table as
+    out[w, z * L + x] = out[w, z] * factors[w, i, x], looping in Python over x.
     """
-    out = np.ones((len(factors), 1))
-    for i in range(factors.shape[1]):
+    if factors.shape[1] == 0:
+        return np.ones((len(factors), 1))
+    out = factors[:, 0].copy()
+    for i in range(1, factors.shape[1]):
         column = factors[:, i]
         grown = np.empty(out.shape + column.shape[1:])
-        if out.shape[1] < column.shape[1]:
-            for z in range(out.shape[1]):
-                np.multiply(out[:, z, None], column, out=grown[:, z])
-        else:
-            for x in range(column.shape[1]):
-                np.multiply(out, column[:, x, None], out=grown[:, :, x])
+        for x in range(column.shape[1]):
+            np.multiply(out, column[:, x, None], out=grown[:, :, x])
         out = grown.reshape(len(factors), -1)
     return out
 
@@ -460,18 +461,21 @@ def exact_leakage(
     time, so every addition joins two partial sums of as many rows.
 
     A mirror moves only the positions where some ECC(u, 0) has a one, so an
-    output block spans all of them. Eve's positions are ordered as the
-    unmoved ones the block fixes (the heads), the moved ones as the span's
-    leading axes, then the other unmoved ones, so a mirror reverses a few
-    outer axes over a contiguous inner run. The span takes the most trailing
-    unmoved positions whose root R_0 (2^k' rows) holds at most
-    _SWEEP_ROOT_CELLS cells, and at least one position, so a huge level count
-    is not swept a cell at a time; when every position moves the root is the
-    whole table of the zero message, at most _MAX_ORACLE_CELLS / 2^k cells.
-    A block's root is one column of the heads' factors times one table of the
-    span's, both built once; log2 P(z) is taken once per block, and the
-    divergences of a root column's 2^(k'-1) leaves as soon as its subtree is
-    done.
+    output block is a set of outputs that every mirror maps onto itself. Eve's
+    positions are ordered as the unmoved ones the block fixes to one level
+    each (the heads), the moved ones as the span's leading axes, then the
+    other unmoved ones, so a mirror reverses a few outer axes over a
+    contiguous inner run. The span takes the most trailing unmoved positions
+    whose root R_0 (2^k' rows) holds at most _SWEEP_ROOT_CELLS cells, and at
+    least one position, so a huge level count is not swept a cell at a time.
+    If the moved positions alone hold more, the block also fixes the leading
+    ones, as few as fit and all but one at most, to a pair of levels {p, L-1-p}
+    each: a two-level axis that a mirror reverses. At odd L the middle pair is
+    the middle level twice, so a block counts half for each position it fixes
+    there. A block's root is one column of the heads' and pairs' factors times
+    one table of the span's, both built once; log2 P(z) is taken once per
+    block, and the divergences of a root column's 2^(k'-1) leaves as soon as
+    its subtree is done.
     """
     k, kp, n, levels = code.k, code.k_prime, code.n, quantizer.levels
     if k + kp > _MAX_HASH_INPUT_BITS:
@@ -496,13 +500,41 @@ def exact_leakage(
     tail = 0 if len(moved) else 1
     while tail < len(still) and l_count * levels ** (len(moved) + tail + 1) <= _SWEEP_ROOT_CELLS:
         tail += 1
+    # if the moved positions alone span more, it also fixes all but the last
+    # of them, as needed, to a pair of mirrored levels (at two levels a pair
+    # is the whole axis)
+    paired = 0
+    while (
+        levels > 2
+        and paired + 1 < len(moved)
+        and l_count * 2**paired * levels ** (len(moved) - paired) > _SWEEP_ROOT_CELLS
+    ):
+        paired += 1
     heads_at, tail_at = still[: len(still) - tail], still[len(still) - tail :]
     # factors[l, i] = P(level of z_i | bit i of ECC(0, l)), input l
     factors = rows[codewords[:l_count]]
+    # pair p is levels p and L-1-p; at odd L the last pair is the middle level
+    # twice, so a block that fixes it counts half for each such position
+    half = (levels + 1) // 2
+    pair_levels = np.stack([np.arange(half), levels - 1 - np.arange(half)], axis=1).ravel()
+    pair_weight = np.ones(half)
+    pair_weight[-1] -= 0.5 * (levels % 2)
+    # pairs[l, p_1, .., p_f, s_1, .., s_f]: the pair of each paired position,
+    # then the side of each
+    pairs = _outer_rows(factors[:, moved[:paired]][:, :, pair_levels])
+    pairs = pairs.reshape((l_count,) + (half, 2) * paired)
+    pairs = pairs.transpose([0, *range(1, 2 * paired, 2), *range(2, 2 * paired + 1, 2)])
     heads = _outer_rows(factors[:, heads_at])
-    span = _outer_rows(factors[:, np.concatenate([moved, tail_at])])
-    width = span.shape[1]
-    shape = (levels,) * len(moved) + (levels**tail,)
+    # block b = h * half^paired + p fixes head cell h and pair cell p;
+    # fixed[:, b] is its factor over them, weights[b] what it counts
+    fixed = (heads[:, :, None, None] * pairs.reshape(l_count, 1, -1, 2**paired)).reshape(
+        l_count, -1, 2**paired
+    )
+    pair_weights = _outer_rows(np.broadcast_to(pair_weight, (1, paired, half)))[0]
+    weights = np.tile(pair_weights, heads.shape[1])
+    span = _outer_rows(factors[:, np.concatenate([moved[paired:], tail_at])])
+    width = 2**paired * span.shape[1]
+    shape = (2,) * paired + (levels,) * (len(moved) - paired) + (levels**tail,)
     # flips[u] reverses the moved axes where ECC(u, 0) has a one
     keep, reverse = slice(None), slice(None, None, -1)
     flips = [tuple(reverse if bit else keep for bit in shift) for shift in shifts[:, moved]]
@@ -528,24 +560,28 @@ def exact_leakage(
             for bit in (0, 1):
                 descend(j + 1, (bit << (k - 1)) | (column >> 1), leaf | (bit << j))
 
-    for h in range(heads.shape[1]):
-        np.multiply(heads[:, h, None], span, out=root.reshape(l_count, width))
+    for b, weight in enumerate(weights.tolist()):
+        np.multiply(fixed[:, b, :, None], span[:, None], out=root.reshape(l_count, 2**paired, -1))
         # 2^k' P(z) = 2^-k times the sum over every input; 2^-k is exact
-        marginal = _halving_sum(root, leaves) if kp else root[0].copy()
-        for b in range(k):
+        if kp:
+            marginal = _halving_sum(root, leaves)
+        else:
+            marginal = leaves[0]
+            np.copyto(marginal, root[0])
+        for u in range(k):
             # numpy reads an input that overlaps the output as if copied first
-            np.add(marginal, marginal[flips[1 << b]], out=marginal)
+            np.add(marginal, marginal[flips[1 << u]], out=marginal)
         marginal *= 1.0 / m_count
         np.maximum(marginal.reshape(width), _TINY, out=log_marginal)
         np.log2(log_marginal, out=log_marginal)
         if kp == 0:
             # the hash ignores the seed
-            sums += _kl_rows(root.reshape(1, width), log_marginal, work)
+            sums += weight * _kl_rows(root.reshape(1, width), log_marginal, work)
             continue
         for column in range(m_count):
             # c_0 is the last k seed bits, the low bits of the seed's number
             descend(0, column, 0)
-            by_column[:, column] += _kl_rows(leaves.reshape(-1, width), log_marginal, work)
+            by_column[:, column] += weight * _kl_rows(leaves.reshape(-1, width), log_marginal, work)
 
     leaks = (sums / l_count).tolist()
     seed_words = np.packbits(_enumerate_bits(seed_len), axis=1)

@@ -753,11 +753,22 @@ class TestExactLeakage:
         _assert_matches_gather(CodeParams(6, 1, 1), make_ecc("rep3", 2), q, params)
 
     # hamming74 (7,2,2) at 3 levels: ECC(u, 0) moves positions 0-4, never 5
-    # or 6. A block spans the moved positions whatever the cap, so a root
-    # (2^k' = 4 rows) of 4 * 3^5 cells fixes both unmoved ones (9 blocks), and
-    # one of 4 * 3^6 cells fixes position 5 only (3 blocks)
+    # or 6. A root (2^k' = 4 rows) of 4 * 3^6 cells spans the moved positions
+    # and position 6 (3 blocks), one of 4 * 3^5 the moved ones only (9). Below
+    # that a block also fixes the leading moved positions to a mirrored pair
+    # of levels, {0, 2} or {1, 1}, each: one (18 blocks), two (36), or all but
+    # the last (9 * 2^4 = 144) at a cap of one cell
     @pytest.mark.parametrize(
-        "cap, count", [(1, 9), (4 * 3**5, 9), (4 * 3**6 - 1, 9), (4 * 3**6, 3), (4 * 3**7, 1)]
+        "cap, count",
+        [
+            (1, 144),
+            (4 * 2 * 3**4 - 1, 36),
+            (4 * 3**5 - 1, 18),
+            (4 * 3**5, 9),
+            (4 * 3**6 - 1, 9),
+            (4 * 3**6, 3),
+            (4 * 3**7, 1),
+        ],
     )
     def test_output_blocks_match_whole_table(self, monkeypatch, cap, count):
         # the sweep's output blocks must not change the result
@@ -783,10 +794,13 @@ class TestExactLeakage:
             (CodeParams(6, 2, 0), "rep3", 4),  # every position moves
             (CodeParams(3, 3, 0), "identity", 4),  # every position moves
             (CodeParams(6, 1, 1), "rep3", 4),  # the sacrifice's three positions stay
+            (CodeParams(6, 1, 1), "rep3", 5),
+            (CodeParams(7, 4, 0), "hamming74", 2),  # a pair would be the whole axis
         ],
     )
     def test_moved_positions_match_gather(self, monkeypatch, code, ecc_name, levels):
-        # with the cap at one cell every block is only the moved positions
+        # with the cap at one cell a block fixes every unmoved position to one
+        # level and all moved ones but the last to a mirrored pair of levels
         params = WiretapChannelParams(gamma_g=0.7, gamma_n=0.9)
         args = (code, make_ecc(ecc_name, code.k + code.k_prime), EveQuantizer(levels), params)
         _assert_matches_gather(*args)
@@ -806,22 +820,29 @@ class TestExactLeakage:
         assert report.exact_leak_bits == 0.0
         assert all(leak == 0.0 for _, leak in report.per_seed)
 
-    def test_largest_benchmark_instance_stays_small(self):
-        # (10,3,7) identity at 2 levels: the whole output table alone is 8
-        # MiB; the sweep's buffers and the bound peaked at 2.47 MiB traced
+    # (10,3,7) identity at 2 levels, the largest benchmark instance: the whole
+    # output table alone is 8 MiB, and the sweep's buffers and the bound
+    # peaked at 2.47 MiB traced. rep3 (3,1,0) at 128 levels: every position
+    # moves and the zero message's table alone is 16 MiB; blocks of 2 * 128^2
+    # cells, one level pair of position 0 each, peaked at 1.53 MiB
+    @pytest.mark.parametrize(
+        "code, ecc_name, levels, mib",
+        [(CodeParams(10, 3, 7), "identity", 2, 3), (CodeParams(3, 1, 0), "rep3", 128, 2)],
+    )
+    def test_traced_peak_stays_small(self, code, ecc_name, levels, mib):
         params = WiretapChannelParams(gamma_g=0.35, gamma_n=1.2)
-        args = (CodeParams(10, 3, 7), make_ecc("identity", 10), EveQuantizer(2), params)
+        args = (code, make_ecc(ecc_name, code.k + code.k_prime), EveQuantizer(levels), params)
         tracemalloc.start()
         try:
             exact_leakage(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 << 20, f"traced peak {peak / 2**20:.2f} MiB"
+        assert peak < mib << 20, f"traced peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("shape", [(3, 4, 2), (2, 3, 5), (2, 1, 1000), (2, 2, 40), (1, 0, 3)])
     def test_outer_rows_is_each_rows_outer_product(self, shape):
-        # whichever axis the loop runs over, every cell is the same product
+        # the first position taken as is, every cell is the same product
         factors = np.random.default_rng(5).random(shape)
         out = _outer_rows(factors)
         for w in range(shape[0]):
