@@ -35,9 +35,8 @@ _EXPORTS = {
     ),
     "geometry": ("GeometryConfig", "alpha", "beta", "eve_stronger", "gamma_g", "protected_region_map"),
     "leakage": (
-        "CodeParams", "LeakageBound", "e0", "e0_max_s1_limit", "exponent_margin",
-        "leakage_bound", "min_leakage_bound", "noiseless_main_bounds", "nonuniform_seed_bound",
-        "psi", "renyi_entropy",
+        "CodeParams", "LeakageBound", "e0", "e0_max_s1_limit", "leakage_bound",
+        "min_leakage_bound", "psi",
     ),
     "sim": (
         "EveQuantizer", "LeakageOracleReport", "ReliabilityReport", "exact_leakage",

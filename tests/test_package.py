@@ -17,11 +17,10 @@ PUBLIC_NAMES = [
     "ReliabilityReport", "Repetition3Code", "WiretapChannelParams", "alpha", "beta",
     "bits_to_bpsk", "bits_to_hex", "c_separation_condition", "capacity_bob", "capacity_curves",
     "capacity_eve", "cs_gamma_sweep", "decode", "density_bob", "density_eve", "e0",
-    "e0_max_s1_limit", "encode", "eve_stronger", "exact_leakage", "exponent_margin", "gamma_g",
+    "e0_max_s1_limit", "encode", "eve_stronger", "exact_leakage", "gamma_g",
     "hard_decision", "hash_bits", "hex_to_bits", "leakage_bound", "make_ecc",
-    "mi_biawgn", "min_leakage_bound", "mixture_density_bob",
-    "mixture_density_eve", "noiseless_main_bounds", "nonuniform_seed_bound",
-    "positivity_condition", "protected_region_map", "psi", "renyi_entropy", "run_reliability",
+    "mi_biawgn", "min_leakage_bound", "mixture_density_bob", "mixture_density_eve",
+    "positivity_condition", "protected_region_map", "psi", "run_reliability",
     "secrecy_capacity", "toeplitz_apply_batch",
 ]
 SUBMODULES = (
@@ -30,7 +29,7 @@ SUBMODULES = (
 
 
 def test_public_names_unchanged():
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 46
     assert satwiretap.__all__ == PUBLIC_NAMES
 
 

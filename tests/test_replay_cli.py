@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from replay_cli import largest_cell_difference, report
+from replay_cli import EXTRA, ORACLE_K0, largest_cell_difference, report
+from satwiretap.cli import main
 
 
 def test_largest_numeric_cell_difference():
@@ -40,3 +41,14 @@ def test_report_prints_the_difference_for_stdout_only(capsys):
     assert lines[0] == "oracle"
     assert lines[1].endswith("; largest numeric cell difference 0.5")
     assert lines[2:] == ["nope", "  stderr: 1 of 1 lines, first line 1: 'error: x' -> 'error: y'"]
+
+
+def test_k_prime_zero_oracle_argv_succeed(capsys):
+    # an error exit would drop the k' = 0 sweep and the paired-block step from the replay
+    argvs = [argv for argv in EXTRA if argv[: len(ORACLE_K0)] == ORACLE_K0]
+    assert len(argvs) == 2
+    for argv in argvs:
+        assert main(argv) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == ("seed_hex,leak_bits" if "--per-seed" in argv else
+                          "n,k,k_prime,levels,exact_leak_bits,bound_log2,bound_bits,bound_holds")
