@@ -151,6 +151,19 @@ class TestDensities:
             )
             assert direct == pytest.approx(rescaled, rel=1e-12)
 
+    @pytest.mark.parametrize("x", [+1, -1])
+    @pytest.mark.parametrize("gg, gn", [(0.0, 1.0), (0.3, 2.0), (1.2, 0.5), (3.0, 9.0)])
+    def test_rescaled_eve_density_across_channels(self, gg, gn, x):
+        p = _params(gg=gg, gn=gn, n0=0.7, e0=1.5)
+        root = math.sqrt(p.gamma_n)
+        amp, var = x * p.gamma_g * p.e0 / root, p.n0
+        for z in np.linspace(-4.0, 4.0, 17):
+            direct = density_eve(z, x, p) * root
+            rescaled = (
+                math.exp(-((z / root - amp) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+            )
+            assert direct == pytest.approx(rescaled, rel=1e-12)
+
 
 class TestMixtures:
     def test_even_functions(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satwiretap import leakage
-from satwiretap.capacity import mi_biawgn
+from satwiretap.capacity import capacity_eve, mi_biawgn
 from satwiretap.channel import WiretapChannelParams
 from satwiretap.leakage import (
     CodeParams,
@@ -46,6 +46,11 @@ class TestCodeParams:
             CodeParams(10, -10, 20)
         with pytest.raises(ValueError, match="k_prime must be >= 0, got -2"):
             CodeParams(4, 1, -2)
+
+    @pytest.mark.parametrize("n, k, k_prime", [(8, 0, 9), (8, 8, 1), (4, 3, 2), (1, 1, 1)])
+    def test_sacrifice_beyond_block_length_rejected(self, n, k, k_prime):
+        with pytest.raises(ValueError, match=f"exceeds block length n = {n}$"):
+            CodeParams(n, k, k_prime)
 
     @pytest.mark.parametrize(
         "field, args",
@@ -219,6 +224,29 @@ class TestLeakageBound:
             b2 = leakage_bound(s, CodeParams(n, 0, 500), P_MAIN)
             assert (b2 - b1) / 400.0 == pytest.approx(-s, abs=1e-12)
 
+    @pytest.mark.parametrize("s", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_domain_errors(self, s):
+        with pytest.raises(ValueError, match=r"leakage_bound requires s in \(0, 1\)"):
+            leakage_bound(s, CodeParams(64, 0, 8), P_MAIN)
+
+    @pytest.mark.parametrize(
+        "s, n, k_prime, gg, gn",
+        [
+            # n*psi(1) is about 1316.5 nats here, past where e^x overflows
+            (0.999999, 2000, 0, 2.0, 1.0),
+            (0.9, 32400, 3240, 0.3, 2.0),
+            (0.5, 10**6, 0, 2.0, 1.0),
+            (0.5, 10**6, 10**5, 0.3, 2.0),
+            (1e-6, 10**6, 10**6, 0.3, 2.0),
+        ],
+    )
+    def test_extreme_exponents_stay_finite(self, s, n, k_prime, gg, gn):
+        params = _params(gg, gn)
+        val = leakage_bound(s, CodeParams(n, 0, k_prime), params)
+        expected = (-math.log(s) + n * e0(s, params) - s * k_prime * LN2) / LN2
+        assert math.isfinite(val)
+        assert val == pytest.approx(expected, rel=1e-12)
+
     def test_log_domain_no_overflow(self):
         # linear-scale bound here is ~2^-654; the log form must stay finite
         code = CodeParams(n=32400, k=29160, k_prime=3240)
@@ -234,6 +262,31 @@ class TestMinLeakageBound:
         assert res.s_star == 1.0
         assert res.s_star_source == "endpoint"
         assert res.log2_bound == pytest.approx(-128.0, abs=1e-6)
+
+    @pytest.mark.parametrize("k_prime", [0, 1, 4, 64, 255])
+    def test_blind_eve_minimum_is_minus_the_sacrifice(self, k_prime):
+        # E0 = 0, so the bound is -log2(s) - s*k', least at s = 1
+        res = min_leakage_bound(CodeParams(256, 0, k_prime), P_BLIND)
+        assert (res.s_star, res.s_star_source) == (1.0, "endpoint")
+        assert res.log2_bound == pytest.approx(-k_prime, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "params", [P_MAIN, P_HALF, _params(0.8, 0.5), _params(1.2, 3.0), _params(2.0, 1.0)]
+    )
+    def test_no_sacrifice_no_secrecy(self, params):
+        res = min_leakage_bound(CodeParams(128, 128, 0), params)
+        assert res.log2_bound >= 0.0
+
+    @pytest.mark.parametrize(
+        "params", [P_MAIN, P_HALF, _params(0.8, 0.5), _params(0.05, 9.0)]
+    )
+    def test_rate_above_eve_capacity_deepens_with_n(self, params):
+        # E0(s)/s falls to I(X;Z) as s -> 0, so above that rate some s makes
+        # the exponent negative; 0.1 bit above it, doubling n deepens the bound
+        rate = capacity_eve(params) + 0.1
+        small = min_leakage_bound(CodeParams(4000, 0, round(rate * 4000)), params)
+        big = min_leakage_bound(CodeParams(8000, 0, round(rate * 8000)), params)
+        assert big.log2_bound < small.log2_bound < 0.0
 
     def test_interior_source(self):
         res = min_leakage_bound(CodeParams(n=32400, k=29160, k_prime=3240), P_MAIN)
