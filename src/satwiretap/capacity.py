@@ -45,9 +45,15 @@ class CapacityResult:
 
 
 def _folded_loss(llr):
-    # log2(1 + e^-L) plus its mirror e^-L * log2(1 + e^L) at -L
-    tail = np.exp(-llr)
-    return ((1.0 + tail) * np.log1p(tail) + llr * tail) / _LN2
+    # log2(1 + e^-L) plus its mirror e^-L * log2(1 + e^L) at -L, written into llr
+    tail = np.negative(llr)
+    np.exp(tail, out=tail)
+    log_term = np.log1p(tail)
+    np.multiply(llr, tail, out=llr)
+    np.add(1.0, tail, out=tail)
+    np.multiply(tail, log_term, out=tail)
+    np.add(tail, llr, out=llr)
+    return np.divide(llr, _LN2, out=llr)
 
 
 def _ratio(amplitude: float, noise_var: float) -> float:

@@ -126,29 +126,57 @@ def _e0_nats(s: np.ndarray, r: float, derivatives: bool = False):
     J = integral over z >= 0 of W+(z) * h with h = e^(t*l) - 1, t = 1 - s,
     x = L/t >= 0 and l = ln(1 + e^(-x)): the part of E0's integral that the
     folded LLR adds to Phi(r). With `derivatives`, returns (E0, E0', E0'')
-    (see _exponent_nats). With sigma = e^(-x)/(1 + e^(-x)),
-
-        dh/dt   = (1 + h) * (l + x*sigma),
-        d2h/dt2 = (1 + h) * ((l + x*sigma)^2 + x^2*sigma*(1 - sigma)/t),
-
-    and d/ds = -d/dt.
+    (see _exponent_nats and _e0_terms).
     """
     t = 1.0 - s
     col = t[..., None]
+    terms = _e0_terms if derivatives else _e0_h
+    return _exponent_nats(s, r, lambda llr: terms(llr, col), t, derivatives)
 
-    def integrand(llr):
-        x = llr / col
-        tail = np.exp(-x)
-        ell = np.log1p(tail)
-        h = np.expm1(col * ell)
-        if not derivatives:
-            return h
-        sigma = tail / (1.0 + tail)
-        slope = ell + x * sigma
-        curvature = slope * slope + x * x * sigma * (1.0 - sigma) / col
-        return np.stack((h, -(1.0 + h) * slope, (1.0 + h) * curvature))
 
-    return _exponent_nats(s, r, integrand, t, derivatives)
+def _e0_h(llr, col):
+    """h = e^(t*ln(1 + e^(-L/t))) - 1, computed in the LLR array itself."""
+    np.divide(llr, col, out=llr)
+    np.negative(llr, out=llr)
+    np.exp(llr, out=llr)
+    np.log1p(llr, out=llr)
+    np.multiply(col, llr, out=llr)
+    return np.expm1(llr, out=llr)
+
+
+def _e0_terms(llr, col):
+    """h, dh/ds and d2h/ds2 in one (3, ...) array; the LLR array holds x = L/t.
+
+    With sigma = e^(-x)/(1 + e^(-x)) and d/ds = -d/dt,
+
+        dh/dt   = (1 + h) * (l + x*sigma),
+        d2h/dt2 = (1 + h) * ((l + x*sigma)^2 + x^2*sigma*(1 - sigma)/t).
+    """
+    out = np.empty((3,) + llr.shape)
+    h, slope, curvature = out
+    x = np.divide(llr, col, out=llr)
+    # e^(-x) and l borrow the rows that end up holding the derivatives
+    tail = np.negative(x, out=curvature)
+    np.exp(tail, out=tail)
+    ell = np.log1p(tail, out=slope)
+    np.multiply(col, ell, out=h)
+    np.expm1(h, out=h)
+    sigma = np.add(1.0, tail)  # the one scratch buffer
+    np.divide(tail, sigma, out=sigma)
+    np.multiply(x, sigma, out=curvature)
+    np.add(ell, curvature, out=slope)  # l + x*sigma
+    np.multiply(x, x, out=curvature)
+    np.multiply(curvature, sigma, out=curvature)
+    np.subtract(1.0, sigma, out=sigma)
+    np.multiply(curvature, sigma, out=curvature)
+    np.divide(curvature, col, out=curvature)
+    np.multiply(slope, slope, out=x)
+    np.add(x, curvature, out=curvature)
+    lift = np.add(1.0, h, out=sigma)  # 1 + h
+    np.multiply(lift, curvature, out=curvature)
+    np.negative(lift, out=lift)
+    np.multiply(lift, slope, out=slope)
+    return out
 
 
 def psi(s, params: WiretapChannelParams):
@@ -167,14 +195,26 @@ def psi(s, params: WiretapChannelParams):
     """
     s = _s_values("psi", s, closed=True)
     col = s[..., None]
-
-    def excess(llr):
-        # (1 + e^-L)^-s * (1 + e^(-(1+s)L)) - 1: both signs of L at once
-        log_lead = -col * np.log1p(np.exp(-llr))
-        return np.expm1(log_lead) + np.exp(log_lead - (1.0 + col) * llr)
-
-    value = _exponent_nats(s, _eve_ratio(params), excess, np.ones_like(s))  # t = 1 for each s
+    value = _exponent_nats(
+        s, _eve_ratio(params), lambda llr: _psi_excess(llr, col), np.ones_like(s)
+    )  # t = 1 for each s
     return value if value.ndim else float(value)
+
+
+def _psi_excess(llr, col):
+    """(1 + e^-L)^-s * (1 + e^(-(1+s)L)) - 1: both signs of L at once.
+
+    One buffer besides the LLR array, which ends up holding the result.
+    """
+    lead = np.negative(llr)
+    np.exp(lead, out=lead)
+    np.log1p(lead, out=lead)
+    np.multiply(-col, lead, out=lead)
+    np.multiply(1.0 + col, llr, out=llr)
+    np.subtract(lead, llr, out=llr)
+    np.exp(llr, out=llr)
+    np.expm1(lead, out=lead)
+    return np.add(lead, llr, out=llr)
 
 
 def e0(s, params: WiretapChannelParams):
@@ -247,10 +287,12 @@ def _min_bound_rows(
     r = _eve_ratio(params)
     k_primes = np.asarray(k_primes, dtype=float)
     grid = np.linspace(_S_EPS, 1.0 - _S_EPS, s_grid_resolution)
-    # in blocks of 64 values of s: each kernel temporary stays under 100 kB, so
+    # in blocks of 64 values of s: each kernel buffer stays under 100 kB, so
     # it is reused from the heap instead of mapped and faulted in afresh
-    blocks = np.split(grid, range(_SCAN_BLOCK, s_grid_resolution, _SCAN_BLOCK))
-    e0_grid = np.concatenate([_e0_nats(block, r) for block in blocks])
+    e0_grid = np.empty_like(grid)
+    for start in range(0, s_grid_resolution, _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
+        e0_grid[block] = _e0_nats(grid[block], r)
     values = _bound_bits(grid, e0_grid, n, k_primes[:, None])
     i = np.argmin(values, axis=1)
     lo = grid[np.maximum(i - 1, 0)]

@@ -12,6 +12,52 @@ import numpy as np
 from satwiretap.channel import WiretapChannelParams, ndtr
 from satwiretap.code import EccScheme, _check_bits, _check_count, _enumerate_bits, hash_bits
 from satwiretap.leakage import CodeParams
+from satwiretap.quadrature import integrate
+
+_LN2 = math.log(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def llr_integral_reference(r, g, t=1.0):
+    """quadrature.llr_integral written out of place: one fresh array per ufunc.
+
+    The in-place kernel must match it bit for bit: same ufuncs, same order.
+    """
+    r = np.asarray(r, dtype=float)
+    u_max = np.minimum(20.0 * np.asarray(t, dtype=float), r * (r + 12.0)) / r
+    col = r[..., None]
+    return integrate(
+        lambda u: _INV_SQRT_2PI * np.exp(-0.5 * (u - col) ** 2) * g(2.0 * col * u), 0.0, u_max
+    )
+
+
+def e0_integrand_reference(llr, col, derivatives=False):
+    """E0's folded integrand h (with dh/ds and d2h/ds2 stacked behind it), out of place.
+
+    col is t = 1 - s with a trailing node axis; see leakage._e0_nats.
+    """
+    x = llr / col
+    tail = np.exp(-x)
+    ell = np.log1p(tail)
+    h = np.expm1(col * ell)
+    if not derivatives:
+        return h
+    sigma = tail / (1.0 + tail)
+    slope = ell + x * sigma
+    curvature = slope * slope + x * x * sigma * (1.0 - sigma) / col
+    return np.stack((h, -(1.0 + h) * slope, (1.0 + h) * curvature))
+
+
+def psi_excess_reference(llr, col):
+    """psi's folded integrand, out of place; col is s with a trailing node axis."""
+    log_lead = -col * np.log1p(np.exp(-llr))
+    return np.expm1(log_lead) + np.exp(log_lead - (1.0 + col) * llr)
+
+
+def folded_loss_reference(llr):
+    """capacity._folded_loss out of place: log2(1 + e^-L) plus its mirror at -L."""
+    tail = np.exp(-llr)
+    return ((1.0 + tail) * np.log1p(tail) + llr * tail) / _LN2
 
 
 def toeplitz_from_seed(seed, k: int, k_prime: int) -> np.ndarray:
