@@ -87,13 +87,18 @@ def figure_5() -> List[dict]:
 
 
 def density_rows(side: str, params: WiretapChannelParams, points: int = 401) -> List[dict]:
-    """Conditional and mixture pdfs at `points` outputs over +-(amplitude + 4 sigma)."""
+    """Conditional and mixture pdfs at `points` outputs over +-(amplitude + 4 sigma).
+
+    ValueError unless side is "bob" or "eve".
+    """
     if side == "bob":
         amp, var = params.bob_amplitude, params.bob_noise_var
         one, mix = density_bob, mixture_density_bob
-    else:
+    elif side == "eve":
         amp, var = params.eve_amplitude, params.eve_noise_var
         one, mix = density_eve, mixture_density_eve
+    else:
+        raise ValueError(f"side must be 'bob' or 'eve', got {side!r}")
     span = amp + 4.0 * math.sqrt(var)
     grid = np.linspace(-span, span, points)
     columns = (grid, one(grid, +1, params), one(grid, -1, params), mix(grid, params))

@@ -380,20 +380,6 @@ def _kl_rows(rows: np.ndarray, log_marginal: np.ndarray, work: np.ndarray) -> np
     return work.sum(axis=1)
 
 
-def _halving_sum(table: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Sum of table's 2^b >= 2 rows, added as halves into scratch (2^(b-1) rows).
-
-    Every addition joins two partial sums of as many rows, so rows that are
-    all equal sum exactly (a blind Eve's marginal is then each row, scaled).
-    """
-    half = len(table) // 2
-    np.add(table[:half], table[half:], out=scratch[:half])
-    while half > 1:
-        half //= 2
-        np.add(scratch[:half], scratch[half : 2 * half], out=scratch[:half])
-    return scratch[0]
-
-
 def _check_linear(codewords: np.ndarray, ecc: EccScheme) -> None:
     """ValueError unless the table of ECC(w), row w for every input w, is F2-linear.
 
@@ -458,9 +444,11 @@ def exact_leakage(
     R_j depends only on the last k+j-1 seed bits for j >= 1, so sibling seeds
     share every level above them: each of the k' levels costs 2^(k+k'-1) *
     levels^n additions of nonnegative probabilities, and each leaf R_k' =
-    2^k' P_S(z | 0) one log2 per output cell. The marginal is 2^-k times
-    the sum over u of mirror_u(sum_l R_0[l]), added one basis message at a
-    time, so every addition joins two partial sums of as many rows.
+    2^k' P_S(z | 0) one log2 per output cell. The zero seed has c_j = 0 at
+    every level, so its leaf is sum_l R_0[l], and the marginal is 2^-k times
+    that leaf summed over the k basis mirrors, one basis message at a time:
+    every addition joins two partial sums of as many rows, so rows that are
+    all equal sum exactly (a blind Eve's marginal is then each row, scaled).
 
     A mirror moves only the positions where some ECC(u, 0) has a one, so an
     output block is a set of outputs that every mirror maps onto itself. Eve's
@@ -477,7 +465,8 @@ def exact_leakage(
     there. A block's root is one column of the heads' and pairs' factors times
     one table of the span's, both built once; log2 P(z) is taken once per
     block, and the divergences of a root column's 2^(k'-1) leaves as soon as
-    its subtree is done.
+    its subtree is done. At k' = 0 the hash ignores the seed: the root's one
+    row is the one leaf, and its divergence is every seed's.
     """
     k, kp, n, levels = code.k, code.k_prime, code.n, quantizer.levels
     if k + kp > _MAX_HASH_INPUT_BITS:
@@ -544,13 +533,13 @@ def exact_leakage(
     root = np.empty((l_count,) + shape)
     tree = [root] + [np.empty((l_count >> j,) + shape) for j in range(1, kp)]
     seed_len = k + kp - 1
-    # one root column's leaves R_k' = 2^k' P_S(. | 0); they hold the halving
-    # sum over the root's rows first
-    leaves = np.empty((max(1, l_count // 2),) + shape)
+    # one root column's leaves R_k' = 2^k' P_S(. | 0); at k' = 0 the root
+    leaves = np.empty((l_count // 2,) + shape) if kp else root
     work = np.empty((len(leaves), width))
     log_marginal = np.empty(width)
+    marginal = log_marginal.reshape(shape)  # the same buffer in the block's shape
     sums = np.zeros(1 << seed_len)
-    by_column = sums.reshape(-1, m_count) if kp else None  # [i, c] is seed (i << k) | c
+    by_column = sums.reshape(-1, m_count) if kp else sums[:, None]  # [i, c] is seed (i << k) | c
 
     def descend(j: int, column: int, leaf: int) -> None:
         # R_{j+1} from R_j with column c_j; leaf holds the seed bits after c_0 used so far
@@ -564,25 +553,20 @@ def exact_leakage(
 
     for b, weight in enumerate(weights.tolist()):
         np.multiply(fixed[:, b, :, None], span[:, None], out=root.reshape(l_count, 2**paired, -1))
-        # 2^k' P(z) = 2^-k times the sum over every input; 2^-k is exact
-        if kp:
-            marginal = _halving_sum(root, leaves)
-        else:
-            marginal = leaves[0]
-            np.copyto(marginal, root[0])
-        for u in range(k):
-            # numpy reads an input that overlaps the output as if copied first
-            np.add(marginal, marginal[flips[1 << u]], out=marginal)
-        marginal *= 1.0 / m_count
-        np.maximum(marginal.reshape(width), _TINY, out=log_marginal)
-        np.log2(log_marginal, out=log_marginal)
-        if kp == 0:
-            # the hash ignores the seed
-            sums += weight * _kl_rows(root.reshape(1, width), log_marginal, work)
-            continue
-        for column in range(m_count):
+        for column in range(by_column.shape[1]):
             # c_0 is the last k seed bits, the low bits of the seed's number
-            descend(0, column, 0)
+            if kp:
+                descend(0, column, 0)
+            if column == 0:
+                # 2^k' P(z) = 2^-k times the zero seed's leaf summed over every
+                # message's mirror; 2^-k is exact
+                np.copyto(marginal, leaves[0])
+                for u in range(k):
+                    # numpy reads an input that overlaps the output as if copied first
+                    np.add(marginal, marginal[flips[1 << u]], out=marginal)
+                marginal *= 1.0 / m_count
+                np.maximum(log_marginal, _TINY, out=log_marginal)
+                np.log2(log_marginal, out=log_marginal)
             by_column[:, column] += weight * _kl_rows(leaves.reshape(-1, width), log_marginal, work)
 
     leaks = (sums / l_count).tolist()

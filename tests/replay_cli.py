@@ -84,6 +84,9 @@ EXTRA = [
     [*_ORACLE, "--per-seed"],
     [*ORACLE_K0, "--levels", "3", "--per-seed"],
     [*ORACLE_K0, "--levels", "128"],
+    # k' = 0 with k = 3: one leaf serves all four seeds
+    ["oracle", "--n", "3", "--k", "3", "--k-prime", "0", "--ecc", "identity", "--levels", "4",
+     "--per-seed"],
     ["oracle", "--n", "20"],
     ["oracle", "--levels", "1"],
     ["reproduce"],

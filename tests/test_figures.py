@@ -88,6 +88,12 @@ def test_density_rows_equal_scalar_calls(side, one, mix):
         assert all(type(v) is float for v in row.values())
 
 
+@pytest.mark.parametrize("side", ["alice", "Eve", ""])
+def test_density_rows_reject_other_sides(side):
+    with pytest.raises(ValueError, match=f"side must be 'bob' or 'eve', got {side!r}"):
+        density_rows(side, WiretapChannelParams(gamma_g=0.5, gamma_n=1.0))
+
+
 @pytest.mark.parametrize("i", [0, 12, -3])
 def test_unknown_id(i):
     with pytest.raises(ValueError, match="valid ids"):

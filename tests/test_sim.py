@@ -719,6 +719,27 @@ class TestExactLeakage:
             leaks.append(report.exact_leak_bits)
         assert all(b <= a + 1e-12 for a, b in zip(leaks, leaks[1:]))
 
+    # each chain doubles Eve's level count, and the uniform bins of L levels
+    # are unions of those of 2L, so the coarser output is a function of the
+    # finer one; the odd chain crosses k' = 0 with four seeds, the rep3 one
+    # paired blocks at 128 levels
+    @pytest.mark.parametrize(
+        "code, ecc_name, level_counts",
+        [
+            (CodeParams(2, 1, 1), "identity", [2 << i for i in range(10)]),
+            (CodeParams(3, 1, 0), "rep3", [2 << i for i in range(7)]),
+            (CodeParams(4, 1, 3), "identity", [2, 4, 8, 16]),
+            (CodeParams(3, 3, 0), "identity", [3, 6, 12, 24, 48]),
+            (CodeParams(7, 2, 2), "hamming74", [2, 4]),
+        ],
+    )
+    def test_leakage_does_not_fall_as_levels_double(self, code, ecc_name, level_counts):
+        # data processing: merging Eve's levels cannot increase the leakage
+        params = WiretapChannelParams(gamma_g=0.8, gamma_n=0.7)
+        ecc = make_ecc(ecc_name, code.k + code.k_prime)
+        leaks = [exact_leakage(code, ecc, EveQuantizer(L), params).exact_leak_bits for L in level_counts]
+        assert all(fine >= coarse - 1e-12 for coarse, fine in zip(leaks, leaks[1:])), leaks
+
     def test_per_seed_enumeration(self):
         report = exact_leakage(CodeParams(3, 2, 1), make_ecc("identity", 3), EveQuantizer(), P_MAIN)
         assert len(report.per_seed) == 4  # 2^(k+k'-1) seeds
@@ -777,12 +798,12 @@ class TestExactLeakage:
         args = (CodeParams(7, 2, 2), make_ecc("hamming74", 4), q, params)
         monkeypatch.setattr(sim, "_SWEEP_ROOT_CELLS", 1 << 30)
         whole = exact_leakage(*args)
-        blocks = []
-        halving_sum = sim._halving_sum  # runs once per output block
-        monkeypatch.setattr(sim, "_halving_sum", lambda *a: blocks.append(1) or halving_sum(*a))
+        calls = []
+        kl_rows = sim._kl_rows  # runs once per root column of a block, 2^k times
+        monkeypatch.setattr(sim, "_kl_rows", lambda *a: calls.append(1) or kl_rows(*a))
         monkeypatch.setattr(sim, "_SWEEP_ROOT_CELLS", cap)
         blocked = exact_leakage(*args)
-        assert len(blocks) == count
+        assert len(calls) == 4 * count
         for (h1, a), (h2, b) in zip(whole.per_seed, blocked.per_seed):
             assert h1 == h2 and a == pytest.approx(b, rel=0.0, abs=1e-13)
 
@@ -811,12 +832,12 @@ class TestExactLeakage:
         # k = 1 and ECC(u, 0) = 0: no position moves, yet each block still
         # spans one position (4 blocks of 2 cells, not 8 of 1)
         args = (CodeParams(3, 1, 2), _DropFirstBit(3), EveQuantizer(2), P_MAIN)
-        blocks = []
-        halving_sum = sim._halving_sum
-        monkeypatch.setattr(sim, "_halving_sum", lambda *a: blocks.append(1) or halving_sum(*a))
+        calls = []
+        kl_rows = sim._kl_rows  # 2^k = 2 root columns per block
+        monkeypatch.setattr(sim, "_kl_rows", lambda *a: calls.append(1) or kl_rows(*a))
         monkeypatch.setattr(sim, "_SWEEP_ROOT_CELLS", 1)
         report = exact_leakage(*args)
-        assert len(blocks) == 4
+        assert len(calls) == 2 * 4
         assert report.exact_leak_bits == 0.0
         assert all(leak == 0.0 for _, leak in report.per_seed)
 
