@@ -133,21 +133,25 @@ def _check_symbol(x: int) -> None:
         raise ValueError(f"BPSK symbol must be +1 or -1, got {x}")
 
 
-def _gauss_pdf(u, mean: float, var: float):
+def _gauss_pdf(name: str, u, mean: float, var: float):
+    """N(mean, var)'s density at u; ValueError naming `name` if any u is NaN or infinite."""
     u = np.asarray(u, dtype=float)
+    finite = np.isfinite(u)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {u[~finite].flat[0]}")
     return np.exp(-((u - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
 def density_bob(y, x: int, params: WiretapChannelParams):
     """Conditional density of Bob's observation given the BPSK symbol x."""
     _check_symbol(x)
-    return _gauss_pdf(y, x * params.bob_amplitude, params.bob_noise_var)
+    return _gauss_pdf("y", y, x * params.bob_amplitude, params.bob_noise_var)
 
 
 def density_eve(z, x: int, params: WiretapChannelParams):
     """Conditional density of Eve's observation given the BPSK symbol x."""
     _check_symbol(x)
-    return _gauss_pdf(z, x * params.eve_amplitude, params.eve_noise_var)
+    return _gauss_pdf("z", z, x * params.eve_amplitude, params.eve_noise_var)
 
 
 def mixture_density_bob(y, params: WiretapChannelParams):

@@ -8,6 +8,12 @@ negative number. Flags beat KEY=VALUE pairs from --config (keys are flag names
 with underscores, gamma_g=0.3, read by the same converters), which beat the
 defaults. Each handler returns its rows, dicts whose keys in order are the CSV
 header, and ``main`` writes them once, header first, to stdout or --out.
+``_emit`` writes the bytes csv.writer would, built column by column: each
+column of ints or floats formats each distinct value once (str for int,
+float.__repr__ for float and np.float64), str cells pass as they are, and the
+lines are joined and written in one call. A table with a str cell that csv
+would quote (empty, or with ',', '"', CR or LF), or with a cell that is not an
+int, float or str, goes through csv.writer whole; no handler makes one.
 Exit codes: 0 success or -h/--help, 1 domain error (message on stderr),
 2 usage (usage line and error on stderr).
 Each handler imports the package modules it uses when it is dispatched, so a
@@ -132,12 +138,54 @@ def _parse(flags: Sequence[tuple], argv: Sequence[str]) -> dict:
     return given
 
 
+def _csv_cells(cells: list) -> Optional[list]:
+    """Each cell as csv.writer writes it, or None if csv.writer must write the column.
+
+    None for a str it would quote (empty, or holding ',', '"', CR or LF) and for a
+    cell that is not an int, float or str. A column of ints, floats or np.float64s
+    formats each distinct value once (str for int; float.__repr__, which is what
+    csv.writer prints for both float types), unless all its values are distinct.
+    Cells that are equal but print differently never share an entry: a column
+    with a float zero (0.0 == -0.0) is formatted cell by cell, and so is a column
+    of mixed types (1, 1.0, True), through str as csv.writer does.
+    """
+    kinds = set(map(type, cells))
+    if not all(issubclass(kind, (int, float, str)) for kind in kinds):
+        return None
+    if any(issubclass(kind, str) for kind in kinds) and any(
+        not c or "," in c or '"' in c or "\r" in c or "\n" in c for c in cells if isinstance(c, str)
+    ):
+        return None
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str:
+        return cells
+    if kind in (int, float, np.float64):
+        form = str if kind is int else float.__repr__
+        distinct = set(cells)
+        if len(distinct) == len(cells) or kind is not int and 0.0 in distinct:
+            return list(map(form, cells))
+        memo = dict(zip(distinct, map(form, distinct)))
+        return list(map(memo.__getitem__, cells))
+    return [c if isinstance(c, str) else str(c) for c in cells]
+
+
 def _emit(fields: List[str], rows: List[dict], out: Optional[str]) -> None:
+    """Write fields as the header and each row's cells in that order, as csv.writer would.
+
+    The text is built column by column (see _csv_cells) and written once. A table
+    with no fields, or with a header or column that _csv_cells leaves to csv.writer,
+    goes through csv.writer whole.
+    """
     stream = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows([row[f] for f in fields] for row in rows)
+        columns = [_csv_cells(list(fields)), *(_csv_cells([row[f] for row in rows]) for f in fields)]
+        if fields and None not in columns:
+            header, *body = columns
+            stream.write("\n".join([",".join(header), *map(",".join, zip(*body))]) + "\n")
+        else:
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(fields)
+            writer.writerows([row[f] for f in fields] for row in rows)
     finally:
         if out:
             stream.close()

@@ -11,23 +11,32 @@ one shape, also with their largest absolute numeric cell difference.
 
 Exit status: 1 if any argv differs, else 0. The worktree is removed on exit.
 
-Run from anywhere: python3 tests/replay_cli.py REV
+With --write-digest instead of REV, it replays the argv on this checkout only
+and writes tests/data/replay_digest.json: each argv with the sha256 of its
+record, and the python version, numpy version and CPU model it was made on.
+tests/test_replay_digest.py holds later replays to that file; a change that
+alters any byte of any record writes it again and names the argv it changed.
+
+Run from anywhere: python3 tests/replay_cli.py REV | --write-digest
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import importlib.util
 import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DIGEST = ROOT / "tests" / "data" / "replay_digest.json"
 
 _CODE = ["code", "--k", "2", "--k-prime", "2", "--ecc", "hamming74", "--seed", "a0"]
 _SIM = ["simulate", "--n", "7", "--k", "2", "--k-prime", "2", "--ecc", "hamming74", "--trials", "3000"]
@@ -146,6 +155,34 @@ def replay(src: Path, argvs: list, cwd: str) -> list:
     return json.loads(child.stdout)
 
 
+def platform_id() -> dict:
+    """What a record's bytes may depend on besides the code: python, numpy and the CPU."""
+    import numpy
+
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            cpu = next(line.split(":", 1)[1].strip() for line in info if line.startswith("model name"))
+    except (OSError, StopIteration):
+        cpu = platform.processor() or platform.machine()
+    return {"python": platform.python_version(), "numpy": numpy.__version__, "cpu": cpu}
+
+
+def replay_digests(argvs: list) -> list:
+    """[argv, sha256 of its [exit code, stdout, stderr] record] per argv, replayed on this checkout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        records = replay(ROOT / "src", argvs, tmp)
+    return [[args, hashlib.sha256(json.dumps(record).encode("utf-8")).hexdigest()]
+            for args, record in zip(argvs, records)]
+
+
+def write_digest() -> None:
+    argvs = perfbench_argv() + EXTRA
+    records = ",\n  ".join(map(json.dumps, replay_digests(argvs)))  # one line per argv
+    text = f'{{\n "platform": {json.dumps(platform_id())},\n "records": [\n  {records}\n ]\n}}\n'
+    DIGEST.write_text(text, encoding="utf-8")
+    print(f"{len(argvs)} argv replayed; digests written to {DIGEST.relative_to(ROOT)}")
+
+
 def first_difference(old: str, new: str) -> str:
     """How many lines differ, and the first of them."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
@@ -207,6 +244,9 @@ def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 2
+    if argv[0] == "--write-digest":
+        write_digest()
+        return 0
     argvs = perfbench_argv() + EXTRA
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"

@@ -139,6 +139,25 @@ class TestDensities:
         with pytest.raises(ValueError):
             density_eve(0.0, 0, _params())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "density, name",
+        [
+            (lambda u, p: density_bob(u, 1, p), "y"),
+            (lambda u, p: density_bob(u, -1, p), "y"),
+            (lambda u, p: density_eve(u, 1, p), "z"),
+            (lambda u, p: density_eve(u, -1, p), "z"),
+            (mixture_density_bob, "y"),
+            (mixture_density_eve, "z"),
+        ],
+    )
+    def test_non_finite_observation_is_named(self, density, name, bad):
+        p = _params()
+        for u in (bad, [0.0, bad], np.array([[1.5, -2.0], [bad, 0.0]])):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$"):
+                density(u, p)
+        assert np.isfinite(density([0.0, -3.0, 40.0], p)).all()
+
     def test_rescaled_eve_change_of_variables(self):
         # Z' = Z / sqrt(gamma_n) has amplitude gamma_g E0 / sqrt(gamma_n), noise N0
         p = _params(gg=0.5, gn=2.0)

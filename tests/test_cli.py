@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import string
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satwiretap import cli
@@ -506,6 +507,13 @@ class TestConfigAndOutput:
         rows = rows_of(target.read_text())
         assert len(rows) == 1 and "c_s" in rows[0]
 
+    def test_out_holds_the_bytes_stdout_gets(self, capsys, tmp_path):
+        target = tmp_path / "fig2.csv"
+        rc, printed, _ = run_cli(capsys, "reproduce", "--figure", "2")
+        assert rc == 0 and len(printed.splitlines()) == 1093
+        assert run_cli(capsys, "reproduce", "--figure", "2", "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == printed.encode("utf-8")
+
     def test_unwritable_out_exits_one(self, capsys, tmp_path):
         target = tmp_path / "missing" / "cap.csv"
         rc, out, err = run_cli(capsys, "capacity", "--out", str(target))
@@ -592,6 +600,28 @@ _CELLS = st.one_of(
     st.text(max_size=8),
 )
 
+# cells that are equal but print differently (0.0 and -0.0; 1, 1.0 and True), cells
+# that print alike from two types (1.0 and np.float64(1.0)), and cells csv.writer quotes
+_POOL = (
+    0.0, -0.0, np.float64(-0.0), 1, 1.0, True, np.float64(1.0), 2.5, np.float64(2.5), 7,
+    math.nan, math.inf, -math.inf, None, "", "a,b", 'q"', "x\ny", "ok",
+)
+
+
+@st.composite
+def _repeating_tables(draw):
+    """(width, rows) of up to 60 rows; each column draws from a few pool values, so cells repeat."""
+    width, count = draw(st.integers(1, 4)), draw(st.integers(0, 60))
+    columns = [
+        draw(st.lists(st.sampled_from(draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=3))),
+                      min_size=count, max_size=count))
+        for _ in range(width)
+    ]
+    return width, [list(row) for row in zip(*columns)]
+
+
+_REPEATING_TABLES = _repeating_tables()
+
 
 class TestFrontEnd:
     @pytest.mark.parametrize("name", SUBCOMMANDS)
@@ -677,6 +707,23 @@ class TestFrontEnd:
         )
     )
     def test_emit_matches_dictwriter(self, table):
+        width, values = table
+        fields = [f"f{i}" for i in range(width)]
+        rows = [dict(zip(fields, row)) for row in values]
+        want = io.StringIO()
+        writer = csv.DictWriter(want, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        got = io.StringIO()
+        with contextlib.redirect_stdout(got):
+            _emit(fields, rows, None)
+        assert got.getvalue() == want.getvalue()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_REPEATING_TABLES)
+    @example((1, [[""]]))  # csv.writer quotes a row that is one empty str
+    @example((1, [[None]]))
+    def test_emit_matches_dictwriter_on_repeated_cells(self, table):
         width, values = table
         fields = [f"f{i}" for i in range(width)]
         rows = [dict(zip(fields, row)) for row in values]
